@@ -10,23 +10,26 @@ a usage level ``f_i``, minimizing ``sum(f)`` subject to
 The optimum lower-bounds the integral optimum (weak duality), and its ``p``
 vector drives the randomized-rounding solver.
 
-The solver is a deterministic two-phase dense-tableau simplex over exact
-rationals (:class:`fractions.Fraction`) with Bland's rule, so results carry no
-floating-point noise and never cycle.  It is intended for the desk-scale
-instances this package targets, not industrial LPs.
+The solver is a deterministic two-phase simplex with Bland's rule, so it never
+cycles.  Its tableau keeps each row as Python-int numerators over one positive
+int denominator (integer-preserving elimination): a pivot rescales only the
+rows with a nonzero in the entering column, updates them only at the pivot
+row's nonzeros, and divides each by its gcd.  The arithmetic is exact, so the
+result carries no floating-point noise; values become
+:class:`fractions.Fraction` only at the output.  It is intended for the
+desk-scale instances this package targets, not industrial LPs.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import SurvPathError, SurvivalMatrix, _Stopwatch, require_feasible
 
 __all__ = ["FractionalSolution", "solve_mfsp_relaxation"]
-
-FEASIBILITY_TOL = 1e-9
-OBJECTIVE_RELATIVE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -51,42 +54,59 @@ class FractionalSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions; rows carry rhs in the last cell."""
+    """Simplex tableau with integer rows.
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], ncols: int):
+    Row ``r`` stands for ``rows[r][j] / dens[r]`` with Python-int numerators
+    and a positive int denominator; the rhs sits in the last cell.  The z row
+    is kept the same way in ``z`` / ``zden``.  Every row is reduced by the gcd
+    of its denominator and numerators after each update, so the arithmetic is
+    exact without :class:`fractions.Fraction` objects in the inner loop.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]):
         self.rows = rows
+        self.dens = [1] * len(rows)
         self.basis = basis
-        self.ncols = ncols
+        self.z: list[int] = []
+        self.zden = 1
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        """z row for the given cost vector, rhs cell = -objective."""
-        z = list(cost) + [Fraction(0)]
+    def set_cost(self, cost: list[int]) -> None:
+        """Set the z row for the given cost vector; rhs cell = -objective."""
+        zden = math.lcm(*(d for r, d in enumerate(self.dens) if cost[self.basis[r]]))
+        z = [c * zden for c in cost] + [0]
         for r, row in enumerate(self.rows):
             cb = cost[self.basis[r]]
             if cb:
-                for j in range(self.ncols + 1):
-                    z[j] -= cb * row[j]
-        return z
+                scale = cb * zden // self.dens[r]
+                for j, v in enumerate(row):
+                    if v:
+                        z[j] -= scale * v
+        self.z, self.zden = _reduced(z, zden)
 
-    def pivot(self, r: int, col: int, z: list[Fraction]) -> None:
+    def pivot(self, r: int, col: int) -> None:
         row = self.rows[r]
         piv = row[col]
-        if piv != 1:
-            inv = 1 / piv
-            self.rows[r] = row = [v * inv for v in row]
+        if piv < 0:
+            row = [-v for v in row]
+            piv = -piv
+        row, piv = _reduced(row, piv)
+        self.rows[r] = row
+        self.dens[r] = piv
+        nonzero = [j for j, v in enumerate(row) if v]
         for rr, other in enumerate(self.rows):
             if rr != r and other[col]:
-                factor = other[col]
-                self.rows[rr] = [a - factor * b for a, b in zip(other, row)]
-        if z[col]:
-            factor = z[col]
-            z[:] = [a - factor * b for a, b in zip(z, row)]
+                self.rows[rr], self.dens[rr] = _eliminate(
+                    other, self.dens[rr], row, piv, col, nonzero
+                )
+        if self.z[col]:
+            self.z, self.zden = _eliminate(self.z, self.zden, row, piv, col, nonzero)
         self.basis[r] = col
 
-    def optimize(self, z: list[Fraction], allowed: int) -> None:
+    def optimize(self, allowed: int) -> None:
         """Bland's rule: smallest negative-reduced-cost column enters; the
         leaving row takes the min ratio, ties to the smallest basic index."""
         while True:
+            z = self.z
             enter = -1
             for j in range(allowed):
                 if z[j] < 0:
@@ -95,22 +115,65 @@ class _Tableau:
             if enter < 0:
                 return
             leave = -1
-            best: Fraction | None = None
+            # Ratios rhs/coeff compared by cross-multiplying; coefficients
+            # are positive and the row denominators cancel.
+            best_rhs = best_coeff = 0
             for r, row in enumerate(self.rows):
                 coeff = row[enter]
                 if coeff > 0:
-                    ratio = row[-1] / coeff
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[r] < self.basis[leave]
+                    lhs = row[-1] * best_coeff
+                    rhs = best_rhs * coeff
+                    if leave < 0 or lhs < rhs or (
+                        lhs == rhs and self.basis[r] < self.basis[leave]
                     ):
-                        best = ratio
+                        best_rhs, best_coeff = row[-1], coeff
                         leave = r
             if leave < 0:
                 raise SurvPathError(
                     "relaxation appears unbounded; the model guarantees a bounded "
                     "optimum, so the instance data is inconsistent"
                 )
-            self.pivot(leave, enter, z)
+            self.pivot(leave, enter)
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _eliminate(
+    row: list[int], den: int, prow: list[int], pden: int, col: int, nonzero: list[int]
+) -> tuple[list[int], int]:
+    """Subtract ``row[col]/pden`` times the pivot row ``prow`` (whose entry at
+    ``col`` equals ``pden``) from ``row``, touching only the pivot row's
+    nonzeros; the row is rescaled by ``pden`` first when it is not 1."""
+    factor = row[col]
+    if pden != 1:
+        row = [v * pden for v in row]
+        den *= pden
+    for j in nonzero:
+        row[j] -= factor * prow[j]
+    return _reduced(row, den)
+
+
+def _certify(
+    mat: SurvivalMatrix, p: Sequence[Fraction], f: Sequence[Fraction]
+) -> None:
+    """Raise :class:`SurvPathError` unless ``(p, f)`` satisfies every
+    constraint of the relaxation exactly."""
+    for j, pj in enumerate(p, start=1):
+        if not 0 <= pj <= 1:
+            raise SurvPathError(f"path value p_{j} = {pj} out of [0,1]")
+    for i in range(1, mat.num_fibers + 1):
+        survivors = mat.survivor_row(i)
+        if sum(pj for j, pj in enumerate(p) if survivors >> j & 1) < 1:
+            raise SurvPathError(f"cover row {i} violated at the claimed optimum")
+    for j, pj in enumerate(p, start=1):
+        for i in mat.path_fibers(j):
+            if f[i - 1] < pj:
+                raise SurvPathError(f"link row f_{i} >= p_{j} violated")
 
 
 def solve_mfsp_relaxation(mat: SurvivalMatrix) -> FractionalSolution:
@@ -125,9 +188,6 @@ def solve_mfsp_relaxation(mat: SurvivalMatrix) -> FractionalSolution:
     require_feasible(mat)
     n = mat.num_paths
     m = mat.num_fibers
-
-    zero = Fraction(0)
-    one = Fraction(1)
 
     links = [
         (i, j)
@@ -145,86 +205,70 @@ def solve_mfsp_relaxation(mat: SurvivalMatrix) -> FractionalSolution:
     col_art = col_ub + n
     ncols = col_art + m
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
 
     for i in range(1, m + 1):
-        row = [zero] * (ncols + 1)
+        row = [0] * (ncols + 1)
         survivors = mat.survivor_row(i)
         for j in range(n):
             if survivors >> j & 1:
-                row[j] = one
-        row[col_surp + i - 1] = -one
-        row[col_art + i - 1] = one
-        row[-1] = one
+                row[j] = 1
+        row[col_surp + i - 1] = -1
+        row[col_art + i - 1] = 1
+        row[-1] = 1
         rows.append(row)
         basis.append(col_art + i - 1)
 
     for idx, (i, j) in enumerate(links):
-        row = [zero] * (ncols + 1)
-        row[j - 1] = one
-        row[col_f + i - 1] = -one
-        row[col_link + idx] = one
+        row = [0] * (ncols + 1)
+        row[j - 1] = 1
+        row[col_f + i - 1] = -1
+        row[col_link + idx] = 1
         rows.append(row)
         basis.append(col_link + idx)
 
     for j in range(1, n + 1):
-        row = [zero] * (ncols + 1)
-        row[j - 1] = one
-        row[col_ub + j - 1] = one
-        row[-1] = one
+        row = [0] * (ncols + 1)
+        row[j - 1] = 1
+        row[col_ub + j - 1] = 1
+        row[-1] = 1
         rows.append(row)
         basis.append(col_ub + j - 1)
 
-    tab = _Tableau(rows, basis, ncols)
+    tab = _Tableau(rows, basis)
 
     # Phase 1: drive the artificial variables to zero.
-    cost1 = [zero] * ncols
-    for c in range(col_art, ncols):
-        cost1[c] = one
-    z1 = tab.reduced_costs(cost1)
-    tab.optimize(z1, allowed=col_art)
-    if -z1[-1] != 0:
+    tab.set_cost([0] * col_art + [1] * m)
+    tab.optimize(allowed=col_art)
+    if tab.z[-1] != 0:
         raise SurvPathError(
             "relaxation phase 1 ended positive; feasibility precheck should have "
             "caught this instance"
         )
-    # Pivot lingering zero-level artificials out of the basis (or drop their rows).
+    # Pivot lingering zero-level artificials out of the basis.  Every row owns
+    # a surplus or slack column, so the constraints have full row rank and the
+    # row of such an artificial has a nonzero outside the artificial block.
     for r in range(len(tab.rows) - 1, -1, -1):
         if tab.basis[r] >= col_art:
-            target = next(
-                (c for c in range(col_art) if tab.rows[r][c] != 0), None
-            )
-            if target is None:
-                del tab.rows[r]
-                del tab.basis[r]
-            else:
-                tab.pivot(r, target, z1)
+            tab.pivot(r, next(c for c in range(col_art) if tab.rows[r][c]))
     for row in tab.rows:
         del row[col_art:-1]
-    tab.ncols = col_art
 
     # Phase 2: minimize total fiber usage.
-    cost2 = [zero] * col_art
+    cost2 = [0] * col_art
     for c in range(col_f, col_f + m):
-        cost2[c] = one
-    z2 = tab.reduced_costs(cost2)
-    tab.optimize(z2, allowed=col_art)
+        cost2[c] = 1
+    tab.set_cost(cost2)
+    tab.optimize(allowed=col_art)
 
+    zero = Fraction(0)
     values = [zero] * col_art
     for r, b in enumerate(tab.basis):
-        values[b] = tab.rows[r][-1]
+        values[b] = Fraction(tab.rows[r][-1], tab.dens[r])
     p_exact = tuple(values[:n])
     f_exact = tuple(values[col_f : col_f + m])
-
-    for j, pj in enumerate(p_exact, start=1):
-        assert 0 <= pj <= 1, f"path value p_{j} out of [0,1]"
-    for i in range(1, m + 1):
-        survivors = mat.survivor_row(i)
-        mass = sum(p_exact[j] for j in range(n) if survivors >> j & 1)
-        assert mass >= 1, f"cover row {i} violated at the claimed optimum"
-    for i, j in links:
-        assert f_exact[i - 1] >= p_exact[j - 1], f"link row f_{i} >= p_{j} violated"
+    _certify(mat, p_exact, f_exact)
 
     objective = float(sum(f_exact, zero))
     return FractionalSolution(

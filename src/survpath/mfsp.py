@@ -34,6 +34,7 @@ from .model import (
     PreconditionError,
     SearchBudgetExceeded,
     SolveReport,
+    SurvPathError,
     SurvivalMatrix,
     ValidationError,
     _Stopwatch,
@@ -406,7 +407,10 @@ def mfsp_randomized_rounding(
     clock = _Stopwatch()
     require_feasible(mat)
     lp = relaxation if relaxation is not None else solve_mfsp_relaxation(mat)
-    if len(lp.path_values) != mat.num_paths:
+    if (
+        len(lp.path_values) != mat.num_paths
+        or len(lp.fiber_values) != mat.num_fibers
+    ):
         raise ValidationError("relaxation does not match the matrix dimensions")
     rounds = config.rounds(mat.num_fibers)
     rng = Random(config.seed)
@@ -434,7 +438,11 @@ def mfsp_randomized_rounding(
                 if gain > best_gain:
                     best_gain = gain
                     best_j = j
-            assert best_gain > 0
+            if best_gain <= 0:
+                raise SurvPathError(
+                    "repair found no path surviving an uncovered fiber; the "
+                    "feasibility precheck should have caught this instance"
+                )
             chosen.add(best_j)
             added.append(best_j)
             covered |= mat.survive_mask(best_j)

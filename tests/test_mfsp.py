@@ -379,6 +379,19 @@ def test_rounding_rejects_mismatched_relaxation(pairwise3):
         mfsp_randomized_rounding(pairwise3, RoundingConfig(0.9, 0), relaxation=other)
 
 
+def test_rounding_rejects_relaxation_with_other_fiber_count(pairwise3):
+    from survpath import ValidationError
+
+    # Same three paths, four fibers: only the fiber count tells them apart.
+    other = solve_mfsp_relaxation(
+        SurvivalMatrix.from_fiber_sets(4, [[1, 2], [1, 3], [2, 3]])
+    )
+    assert len(other.path_values) == pairwise3.num_paths
+    assert len(other.fiber_values) != pairwise3.num_fibers
+    with pytest.raises(ValidationError):
+        mfsp_randomized_rounding(pairwise3, RoundingConfig(0.9, 0), relaxation=other)
+
+
 # ---------------------------------------------------------------------------
 # Epsilon-net wrapper
 # ---------------------------------------------------------------------------
