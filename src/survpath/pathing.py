@@ -96,25 +96,33 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
             mask |= 1 << (f - 1)
         link_fibers[k] = mask
 
-    found: list[tuple[int, ...]] = []
-
-    def walk(node: str, visited: set[str], links: list[int], fibers: int) -> None:
-        if node == sink:
-            found.append(tuple(links))
-            return
-        for k, nxt in adjacency[node]:
+    found: list[tuple[int, ...]] = [()] if source == sink else []
+    # Depth-first with an explicit stack (a path may be longer than the
+    # recursion limit): one frame per node of the partial path, holding the
+    # node, the fiber union up to it and its neighbours still to try.
+    stack = [] if source == sink else [(source, 0, iter(adjacency[source]))]
+    visited = {source}
+    links: list[int] = []
+    while stack:
+        node, fibers, pending = stack[-1]
+        for k, nxt in pending:
             if nxt in visited:
                 continue
             merged = fibers | link_fibers[k]
             if cap is not None and merged.bit_count() > cap:
                 continue
+            if nxt == sink:
+                found.append((*links, k))
+                continue
             visited.add(nxt)
             links.append(k)
-            walk(nxt, visited, links, merged)
-            links.pop()
-            visited.remove(nxt)
-
-    walk(source, {source}, [], 0)
+            stack.append((nxt, merged, iter(adjacency[nxt])))
+            break
+        else:
+            stack.pop()
+            visited.remove(node)
+            if stack:
+                links.pop()
     found.sort()
 
     paths = []

@@ -188,6 +188,17 @@ def test_gadget_structure_hand_expansion():
     assert all(p.cost == 15 + 3 + 3 for p in catalog.paths)
 
 
+def test_gadget_chain_longer_than_the_recursion_limit():
+    # Every chain fiber is its own logical hop, so the path walk goes 1200+
+    # links deep; a walk that recursed per hop overflowed the interpreter stack.
+    net, catalog = gen_mfsp_3setcover_gadget(3, [[1, 2, 3], [1, 2, 3]], 1200)
+    assert len(catalog) == 6
+    assert all(p.cost == 1200 + 3 + 3 for p in catalog.paths)
+    mat = catalog.matrix(net.num_fibers)
+    objective = mfsp_exact(mat).objective
+    assert decode_gadget_objective(objective, 3, 1200, [[1, 2, 3], [1, 2, 3]]) == 1
+
+
 def test_gadget_single_triple_cover_decodes_to_one():
     net, catalog = gen_mfsp_3setcover_gadget(3, [[1, 2, 3], [1, 2, 3]], 15)
     mat = catalog.matrix(net.num_fibers)
