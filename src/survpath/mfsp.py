@@ -40,7 +40,7 @@ from .model import (
     _Stopwatch,
     require_feasible,
 )
-from .msp import msp_epsnet
+from .msp import _greedy_selection, msp_epsnet
 
 __all__ = [
     "GreedyState",
@@ -346,7 +346,10 @@ def mfsp_exact(
     descend([], 0, 0, (1 << n) - 1)
 
     solution = PathSet.from_ids(mat, best[2])
-    assert solution.survivable and solution.num_fibers_used == best[0]
+    if not solution.survivable or solution.num_fibers_used != best[0]:
+        raise SurvPathError(
+            f"exact witness {list(best[2])} is not a survivable set on {best[0]} fibers"
+        )
     return SolveReport(
         algorithm="mfsp_exact",
         problem="mfsp",
@@ -425,27 +428,8 @@ def mfsp_randomized_rounding(
     }
     if repair and not mat.is_survivable(chosen):
         extra["objective_before_repair"] = len(mat.fibers_used_by(chosen))
-        added: list[int] = []
-        covered = mat.survived_fibers_mask(chosen)
-        full = mat.all_fibers_mask
-        while covered != full:
-            best_j = 0
-            best_gain = -1
-            for j in range(1, mat.num_paths + 1):
-                if j in chosen:
-                    continue
-                gain = (mat.survive_mask(j) & ~covered).bit_count()
-                if gain > best_gain:
-                    best_gain = gain
-                    best_j = j
-            if best_gain <= 0:
-                raise SurvPathError(
-                    "repair found no path surviving an uncovered fiber; the "
-                    "feasibility precheck should have caught this instance"
-                )
-            chosen.add(best_j)
-            added.append(best_j)
-            covered |= mat.survive_mask(best_j)
+        added, _ = _greedy_selection(mat, chosen)
+        chosen.update(added)
         extra["repair_added"] = added
     solution = PathSet.from_ids(mat, chosen)
     return SolveReport(

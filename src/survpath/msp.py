@@ -22,6 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
+from typing import Iterable
 
 from .model import (
     Limits,
@@ -30,6 +31,7 @@ from .model import (
     RandomizedFailureError,
     SearchBudgetExceeded,
     SolveReport,
+    SurvPathError,
     SurvivalMatrix,
     _Stopwatch,
     require_feasible,
@@ -72,12 +74,17 @@ def effective_fiber_cap(mat: SurvivalMatrix, limits: Limits | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_selection(mat: SurvivalMatrix) -> tuple[list[int], list[tuple[int, int]]]:
-    """Max-coverage greedy over fiber rows; returns (ids, per-step trace)."""
+def _greedy_selection(
+    mat: SurvivalMatrix, start: Iterable[int] = ()
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Max-coverage greedy over fiber rows, extending the ``start`` selection
+    until it is survivable; returns (added ids, per-step trace)."""
     full = mat.all_fibers_mask
     survive = [mat.survive_mask(j) for j in range(1, mat.num_paths + 1)]
-    covered = 0
-    chosen_mask = 0
+    covered = chosen_mask = 0
+    for j in start:
+        covered |= survive[j - 1]
+        chosen_mask |= 1 << (j - 1)
     chosen: list[int] = []
     trace: list[tuple[int, int]] = []
     while covered != full:
@@ -90,8 +97,11 @@ def _greedy_selection(mat: SurvivalMatrix) -> tuple[list[int], list[tuple[int, i
             if gain > best_gain:
                 best_gain = gain
                 best_id = j
-        # Feasibility was checked up front, so progress is guaranteed.
-        assert best_gain > 0
+        if best_gain <= 0:
+            raise SurvPathError(
+                "greedy found no path surviving an uncovered fiber; the "
+                "feasibility precheck should have caught this instance"
+            )
         chosen.append(best_id)
         chosen_mask |= 1 << (best_id - 1)
         covered |= survive[best_id - 1]
@@ -236,7 +246,10 @@ def _lex_smallest_cover(mat: SurvivalMatrix, size: int, budget: list) -> list[in
         return None
 
     witness = extend(1, [], 0)
-    assert witness is not None, "phase 1 proved a cover of this size exists"
+    if witness is None:
+        raise SurvPathError(
+            f"no survivable set of {size} paths, the size the search proved optimal"
+        )
     return witness
 
 
@@ -265,7 +278,10 @@ def msp_exact(
     witness = _lex_smallest_cover(mat, best_size, budget)
 
     solution = PathSet.from_ids(mat, witness)
-    assert solution.survivable and solution.size == best_size
+    if not solution.survivable or solution.size != best_size:
+        raise SurvPathError(
+            f"exact witness {list(witness)} is not a survivable set of {best_size} paths"
+        )
     return SolveReport(
         algorithm="msp_exact",
         problem="msp",
