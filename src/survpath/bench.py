@@ -13,13 +13,14 @@ environment variable caps the worker count.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from hashlib import blake2b
 from statistics import mean, pstdev
 
 from .instances import RandomEnsembleConfig, gen_random_parallel
-from .lp import solve_mfsp_relaxation
 from .mfsp import (
     RoundingConfig,
     mfsp_acg,
@@ -61,9 +62,50 @@ CSV_COLUMNS = (
     "elapsed_us",
 )
 
-MSP_ALGS = ("exact", "greedy", "epsnet")
-MFSP_ALGS = ("exact", "acg", "nacg", "rsg", "rr", "epsnet")
-RANDOMIZED_ALGS = ("epsnet", "rsg", "rr")
+# The one list of solvers: every (problem, alg) pair the library, the CLI and
+# the bench grid accept.  Each entry takes the matrix, the limits and
+# solve_named's keyword options, and ignores the options it has no use for.
+SOLVERS: dict[tuple[str, str], Callable[..., SolveReport]] = {
+    ("msp", "exact"): lambda mat, limits, node_limit, **_: msp_exact(
+        mat, limits, node_limit=node_limit
+    ),
+    ("msp", "greedy"): lambda mat, limits, **_: msp_greedy(mat),
+    ("msp", "epsnet"): lambda mat, limits, seed, c, **_: msp_epsnet(mat, limits, seed, c=c),
+    ("mfsp", "exact"): lambda mat, limits, node_limit, **_: mfsp_exact(
+        mat, limits, node_limit=node_limit
+    ),
+    ("mfsp", "acg"): lambda mat, limits, **_: mfsp_acg(mat),
+    ("mfsp", "nacg"): lambda mat, limits, **_: mfsp_nacg(mat),
+    ("mfsp", "rsg"): lambda mat, limits, seed, **_: mfsp_rsg(mat, seed),
+    ("mfsp", "rr"): lambda mat, limits, seed, q, repair, relaxation, **_: (
+        mfsp_randomized_rounding(
+            mat,
+            RoundingConfig(target_survivability=q, seed=seed),
+            repair=repair,
+            relaxation=relaxation,
+        )
+    ),
+    ("mfsp", "epsnet"): lambda mat, limits, seed, c, **_: mfsp_epsnet(
+        mat, limits if limits is not None else Limits(), seed, c=c
+    ),
+}
+PROBLEMS = tuple(dict.fromkeys(problem for problem, _ in SOLVERS))
+
+
+def check_algorithms(problem: str, algs: Iterable[str]) -> None:
+    """Raise :class:`ValidationError`, listing the choices, unless every name
+    in ``algs`` is a solver of ``problem``."""
+    if problem not in PROBLEMS:
+        raise ValidationError(
+            f"unknown problem {problem!r} (choose from {', '.join(PROBLEMS)})"
+        )
+    valid = [alg for p, alg in SOLVERS if p == problem]
+    for alg in algs:
+        if alg not in valid:
+            raise ValidationError(
+                f"algorithm {alg!r} is not a {problem} solver "
+                f"(choose from {', '.join(valid)})"
+            )
 
 
 def solve_named(
@@ -79,33 +121,18 @@ def solve_named(
     repair: bool = False,
     relaxation=None,
 ) -> SolveReport:
-    """Dispatch a short algorithm name to the matching solver."""
-    if problem == "msp":
-        if alg == "exact":
-            return msp_exact(mat, limits, node_limit=node_limit)
-        if alg == "greedy":
-            return msp_greedy(mat)
-        if alg == "epsnet":
-            return msp_epsnet(mat, limits, seed, c=c)
-    elif problem == "mfsp":
-        if alg == "exact":
-            return mfsp_exact(mat, limits, node_limit=node_limit)
-        if alg == "acg":
-            return mfsp_acg(mat)
-        if alg == "nacg":
-            return mfsp_nacg(mat)
-        if alg == "rsg":
-            return mfsp_rsg(mat, seed)
-        if alg == "rr":
-            return mfsp_randomized_rounding(
-                mat,
-                RoundingConfig(target_survivability=q, seed=seed),
-                repair=repair,
-                relaxation=relaxation,
-            )
-        if alg == "epsnet":
-            return mfsp_epsnet(mat, limits if limits is not None else Limits(), seed, c=c)
-    raise ValidationError(f"unknown algorithm {alg!r} for problem {problem!r}")
+    """Run the solver :data:`SOLVERS` lists under ``(problem, alg)``."""
+    check_algorithms(problem, (alg,))
+    return SOLVERS[problem, alg](
+        mat,
+        limits,
+        seed=seed,
+        q=q,
+        c=c,
+        node_limit=node_limit,
+        repair=repair,
+        relaxation=relaxation,
+    )
 
 
 def derive_seed(text: str) -> int:
@@ -121,7 +148,7 @@ class BenchRow:
 
     alg: str
     problem: str
-    w: int
+    w: int | None
     k: int | None
     trial: int
     seed: int | None
@@ -130,17 +157,35 @@ class BenchRow:
     iterations: int | None
     elapsed_us: int
 
+    @classmethod
+    def from_report(
+        cls, alg: str, report: SolveReport, limits: Limits, trial: int
+    ) -> BenchRow:
+        """The row of a finished run; W and K are the caps it was solved under."""
+        return cls(
+            alg,
+            report.problem,
+            limits.max_paths_per_fiber,
+            limits.max_fibers_per_path,
+            trial,
+            report.seed,
+            report.objective,
+            report.solution.survivable,
+            report.iterations,
+            int(report.elapsed * 1e6),
+        )
+
     def csv_cells(self, *, include_timing: bool) -> list[str]:
         return [
             self.alg,
             self.problem,
-            str(self.w),
-            "" if self.k is None else str(self.k),
+            _cell(self.w),
+            _cell(self.k),
             str(self.trial),
-            "" if self.seed is None else str(self.seed),
-            "" if self.objective is None else str(self.objective),
-            "" if self.survivable is None else str(int(self.survivable)),
-            "" if self.iterations is None else str(self.iterations),
+            _cell(self.seed),
+            _cell(self.objective),
+            _cell(None if self.survivable is None else int(self.survivable)),
+            _cell(self.iterations),
             str(self.elapsed_us if include_timing else 0),
         ]
 
@@ -161,39 +206,28 @@ class ExperimentResult:
             groups.setdefault((row.alg, row.w), []).append(row)
         out: list[list[str]] = []
         for (alg, w), rows in sorted(groups.items()):
-            k = rows[0].k
             done = [r for r in rows if r.objective is not None]
             objectives = [r.objective for r in done]
             iteration_counts = [r.iterations for r in done]
-            success = [bool(r.survivable) for r in rows]
-            out.append(
-                [
-                    alg,
-                    self.problem,
-                    str(w),
-                    "" if k is None else str(k),
-                    "mean",
-                    "",
-                    _fmt(mean(objectives)) if objectives else "",
-                    _fmt(sum(success) / len(success)),
-                    _fmt(mean(iteration_counts)) if iteration_counts else "",
-                    "",
-                ]
-            )
-            out.append(
-                [
-                    alg,
-                    self.problem,
-                    str(w),
-                    "" if k is None else str(k),
-                    "std",
-                    "",
-                    _fmt(pstdev(objectives)) if objectives else "",
-                    "",
-                    _fmt(pstdev(iteration_counts)) if iteration_counts else "",
-                    "",
-                ]
-            )
+            success_rate = _fmt(sum(bool(r.survivable) for r in rows) / len(rows))
+            for label, stat, survivable in (
+                ("mean", mean, success_rate),
+                ("std", pstdev, ""),
+            ):
+                out.append(
+                    [
+                        alg,
+                        self.problem,
+                        _cell(w),
+                        _cell(rows[0].k),
+                        label,
+                        "",
+                        _fmt(stat(objectives)) if objectives else "",
+                        survivable,
+                        _fmt(stat(iteration_counts)) if iteration_counts else "",
+                        "",
+                    ]
+                )
         return out
 
     def mean_objective(self, alg: str, w: int) -> float:
@@ -213,6 +247,10 @@ class ExperimentResult:
         for cells in self.aggregates():
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    return "" if value is None else str(value)
 
 
 def _fmt(value: float) -> str:
@@ -235,60 +273,34 @@ def worker_count() -> int:
     return value
 
 
-def _run_cell(
+def _run_trial(
+    instance: tuple[int, int, SurvivalMatrix],
+    *,
     problem: str,
-    alg: str,
-    mat: SurvivalMatrix,
-    limits: Limits,
-    w: int,
+    algs: tuple[str, ...],
     k: int | None,
-    trial: int,
     experiment_seed: int,
-    q: float,
-    c: float,
-    node_limit: int | None,
-) -> BenchRow:
-    seed = (
-        derive_seed(f"{experiment_seed}:{problem}:{alg}:{w}:{trial}")
-        if alg in RANDOMIZED_ALGS
-        else None
-    )
-    try:
-        report = solve_named(
-            problem,
-            alg,
-            mat,
-            limits,
-            seed=seed if seed is not None else 0,
-            q=q,
-            c=c,
-            node_limit=node_limit,
-        )
-    except SearchBudgetExceeded:
-        return BenchRow(alg, problem, w, k, trial, seed, None, None, None, 0)
-    except RandomizedFailureError:
-        return BenchRow(alg, problem, w, k, trial, seed, None, False, None, 0)
-    return BenchRow(
-        alg,
-        problem,
-        w,
-        k,
-        trial,
-        seed,
-        report.objective,
-        report.solution.survivable,
-        report.iterations,
-        int(report.elapsed * 1e6),
-    )
+    options: dict,
+) -> list[BenchRow]:
+    """Rows of every algorithm on one ``(W, trial, matrix)`` instance.
 
-
-def _run_trial(task) -> list[BenchRow]:
-    (problem, algs, mat, w, k, trial, experiment_seed, q, c, node_limit) = task
+    Every cell gets a seed derived from its label; deterministic solvers
+    ignore it and report ``seed=None``.
+    """
+    w, trial, mat = instance
     limits = Limits(max_fibers_per_path=k, max_paths_per_fiber=w)
-    return [
-        _run_cell(problem, alg, mat, limits, w, k, trial, experiment_seed, q, c, node_limit)
-        for alg in algs
-    ]
+    rows = []
+    for alg in algs:
+        seed = derive_seed(f"{experiment_seed}:{problem}:{alg}:{w}:{trial}")
+        try:
+            report = solve_named(problem, alg, mat, limits, seed=seed, **options)
+        except SearchBudgetExceeded:
+            rows.append(BenchRow(alg, problem, w, k, trial, None, None, None, None, 0))
+        except RandomizedFailureError as exc:
+            rows.append(BenchRow(alg, problem, w, k, trial, exc.seed, None, False, None, 0))
+        else:
+            rows.append(BenchRow.from_report(alg, report, limits, trial))
+    return rows
 
 
 def run_experiment(
@@ -307,13 +319,8 @@ def run_experiment(
     workers: int | None = None,
 ) -> ExperimentResult:
     """Run every requested algorithm over ``trials`` fresh instances per W."""
-    valid = MSP_ALGS if problem == "msp" else MFSP_ALGS
-    if problem not in ("msp", "mfsp"):
-        raise ValidationError(f"unknown problem {problem!r}")
-    for alg in algs:
-        if alg not in valid:
-            raise ValidationError(f"algorithm {alg!r} is not a {problem} solver")
-    tasks = []
+    check_algorithms(problem, algs)
+    instances = []
     for w in w_values:
         cfg = RandomEnsembleConfig(
             num_paths=num_paths,
@@ -324,26 +331,22 @@ def run_experiment(
             seed=derive_seed(f"{seed}:ensemble:{w}"),
         )
         for trial, mat in enumerate(gen_random_parallel(cfg), start=1):
-            tasks.append(
-                (
-                    problem,
-                    tuple(algs),
-                    mat,
-                    w,
-                    max_fibers_per_path,
-                    trial,
-                    seed,
-                    q,
-                    c,
-                    node_limit,
-                )
-            )
+            instances.append((w, trial, mat))
+    # A partial of a module-level function pickles, so workers can run it.
+    run_trial = partial(
+        _run_trial,
+        problem=problem,
+        algs=tuple(algs),
+        k=max_fibers_per_path,
+        experiment_seed=seed,
+        options=dict(q=q, c=c, node_limit=node_limit),
+    )
     limit = workers if workers is not None else worker_count()
-    if limit <= 1 or len(tasks) <= 1:
-        nested = [_run_trial(task) for task in tasks]
+    if limit <= 1 or len(instances) <= 1:
+        nested = [run_trial(instance) for instance in instances]
     else:
-        with ProcessPoolExecutor(max_workers=min(limit, len(tasks))) as pool:
-            nested = list(pool.map(_run_trial, tasks))
+        with ProcessPoolExecutor(max_workers=min(limit, len(instances))) as pool:
+            nested = list(pool.map(run_trial, instances))
     rows = [row for batch in nested for row in batch]
     rows.sort(key=lambda r: (r.alg, r.w, r.trial))
     return ExperimentResult(problem=problem, rows=tuple(rows))

@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", parents=[], help="solve one instance")
-    solve.add_argument("problem", choices=("msp", "mfsp"))
+    solve.add_argument("problem", choices=bench_mod.PROBLEMS)
     solve.add_argument("--alg", required=True, help="algorithm name")
     solve.add_argument("--in", dest="infile", required=True, help="instance file")
     solve.add_argument("--k", type=int, help="per-path fiber cap")
@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--measure-time", action="store_true")
 
     bench = sub.add_parser("bench", help="run a solver ensemble, emit CSV")
-    bench.add_argument("--problem", choices=("msp", "mfsp"), default="mfsp")
+    bench.add_argument("--problem", choices=bench_mod.PROBLEMS, default="mfsp")
     bench.add_argument("--paths", type=int, required=True)
     bench.add_argument("--fibers", type=int, required=True)
     bench.add_argument("--w-range", required=True, help="load caps, e.g. 2..6")
@@ -119,21 +119,11 @@ def _load_matrix(
 
 
 def _cmd_solve(args) -> int:
-    valid = bench_mod.MSP_ALGS if args.problem == "msp" else bench_mod.MFSP_ALGS
-    if args.alg not in valid:
-        print(
-            f"survpath solve: error: algorithm {args.alg!r} is not a "
-            f"{args.problem} solver (choose from {', '.join(valid)})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.repair and (args.problem, args.alg) != ("mfsp", "rr"):
-        print(
-            "survpath solve: error: --repair only applies to 'mfsp --alg rr'",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     try:
+        # Name and --repair checks come before the instance file is read.
+        bench_mod.check_algorithms(args.problem, (args.alg,))
+        if args.repair and (args.problem, args.alg) != ("mfsp", "rr"):
+            raise ValidationError("--repair only applies to 'mfsp --alg rr'")
         matrix, limits = _load_matrix(args.infile, args.k, args.w)
         report = bench_mod.solve_named(
             args.problem,
@@ -167,20 +157,9 @@ def _cmd_solve(args) -> int:
         payload["alg"] = args.alg
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        cells = [
-            args.alg,
-            args.problem,
-            "" if limits.max_paths_per_fiber is None else str(limits.max_paths_per_fiber),
-            "" if limits.max_fibers_per_path is None else str(limits.max_fibers_per_path),
-            "1",
-            "" if report.seed is None else str(report.seed),
-            str(report.objective),
-            str(int(report.solution.survivable)),
-            str(report.iterations),
-            str(int(report.elapsed * 1e6) if args.measure_time else 0),
-        ]
+        row = bench_mod.BenchRow.from_report(args.alg, report, limits, trial=1)
         print(",".join(bench_mod.CSV_COLUMNS))
-        print(",".join(cells))
+        print(",".join(row.csv_cells(include_timing=args.measure_time)))
 
     if not report.solution.survivable:
         return EXIT_RANDOM_FAILURE
