@@ -163,7 +163,9 @@ def random_parallel_layered(rng: Random):
                 walk.pop()
             return False
 
-        assert dfs(s, frozenset({s}))
+        # Call outside the assert: ``python -O`` strips the whole statement.
+        reached = dfs(s, frozenset({s}))
+        assert reached
         return tuple(walk)
 
     num_links = rng.randint(1, 4)
