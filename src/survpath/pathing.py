@@ -96,13 +96,14 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
             mask |= 1 << (f - 1)
         link_fibers[k] = mask
 
-    found: list[tuple[int, ...]] = [()] if source == sink else []
+    found: list[tuple[int, ...]] = []
     # Depth-first with an explicit stack (a path may be longer than the
     # recursion limit): one frame per node of the partial path, holding the
-    # node, the fiber union up to it and its neighbours still to try.
-    stack = [] if source == sink else [(source, 0, iter(adjacency[source]))]
+    # node, the fiber union up to it and its neighbours still to try.  The
+    # topology guarantees source != sink.
+    stack = [(source, 0, iter(adjacency[source]))]
     visited = {source}
-    links: list[int] = []
+    prefix: list[int] = []  # link ids from the source to the top frame's node
     while stack:
         node, fibers, pending = stack[-1]
         for k, nxt in pending:
@@ -112,17 +113,17 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
             if cap is not None and merged.bit_count() > cap:
                 continue
             if nxt == sink:
-                found.append((*links, k))
+                found.append((*prefix, k))
                 continue
             visited.add(nxt)
-            links.append(k)
+            prefix.append(k)
             stack.append((nxt, merged, iter(adjacency[nxt])))
             break
         else:
             stack.pop()
             visited.remove(node)
             if stack:
-                links.pop()
+                prefix.pop()
     found.sort()
 
     paths = []
