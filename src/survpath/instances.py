@@ -22,6 +22,7 @@ from .model import (
     LogicalTopology,
     PhysicalTopology,
     SurvivalMatrix,
+    SurvPathError,
     ValidationError,
 )
 from .pathing import PathCatalog, enumerate_paths_unrestricted
@@ -270,10 +271,11 @@ def gen_mfsp_3setcover_gadget(
     )
     catalog = enumerate_paths_unrestricted(net)
     expected = 3 * n
-    assert len(catalog) == expected, (
-        f"gadget should admit one path per (triple, member) pair, "
-        f"got {len(catalog)} instead of {expected}"
-    )
+    if len(catalog) != expected:
+        raise SurvPathError(
+            "gadget should admit one path per (triple, member) pair, "
+            f"got {len(catalog)} instead of {expected}"
+        )
     return net, catalog
 
 

@@ -75,6 +75,14 @@ class GreedyState:
     selected: list[int] = field(default_factory=list)
     covered_mask: int = 0
     used_union: int = 0
+    # Per-path survive and used masks, index j-1 for path j, read once.
+    _survive: list[int] = field(init=False, repr=False, compare=False)
+    _used: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        full = self.mat.all_fibers_mask
+        self._used = list(self.mat.used_masks)
+        self._survive = [full & ~used for used in self._used]
 
     def gain(self, j: int) -> int:
         """Fibers newly survived if path j were selected now."""
@@ -107,13 +115,16 @@ class GreedyState:
         best_cost = 0
         best_gain = 0
         chosen = set(self.selected)
-        for j in range(1, self.mat.num_paths + 1):
+        # gain() and cost() inlined over the mask lists: ids here are valid.
+        uncovered = ~self.covered_mask
+        unlit = ~self.used_union if self.dynamic else -1
+        for j, (survive, used) in enumerate(zip(self._survive, self._used), start=1):
             if j in chosen:
                 continue
-            g = self.gain(j)
+            g = (survive & uncovered).bit_count()
             if g == 0:
                 continue
-            c = self.cost(j)
+            c = (used & unlit).bit_count()
             if best_j == 0:
                 best_j, best_cost, best_gain = j, c, g
                 continue
@@ -122,15 +133,19 @@ class GreedyState:
             rhs = best_cost * g
             if lhs < rhs or (lhs == rhs and c < best_cost):
                 best_j, best_cost, best_gain = j, c, g
-        assert best_j, "feasibility precheck guarantees an eligible candidate"
+        if not best_j:
+            raise SurvPathError(
+                "no unselected path survives an uncovered fiber; the "
+                "feasibility precheck should have caught this instance"
+            )
         return best_j
 
     def select(self, j: int) -> tuple[int, int]:
         """Add path j; returns its (cost, gain) as charged at selection time."""
         c, g = self.cost(j), self.gain(j)
         self.selected.append(j)
-        self.covered_mask |= self.mat.survive_mask(j)
-        self.used_union |= self.mat.used_mask(j)
+        self.covered_mask |= self._survive[j - 1]
+        self.used_union |= self._used[j - 1]
         return c, g
 
     def remove(self, j: int) -> None:
@@ -138,7 +153,7 @@ class GreedyState:
         self.selected.remove(j)
         self.used_union = 0
         for k in self.selected:
-            self.used_union |= self.mat.used_mask(k)
+            self.used_union |= self._used[k - 1]
 
 
 def _greedy_run(
@@ -163,7 +178,10 @@ def _greedy_run(
         if rng is not None and iterations > 2 and len(state.selected) > 1:
             _substitution_sweep(state, j, rng, removals)
     solution = PathSet.from_ids(mat, state.selected)
-    assert solution.survivable
+    if not solution.survivable:
+        raise SurvPathError(
+            f"greedy selection {list(solution.selected)} is not survivable"
+        )
     extra: dict = {"selections": trace}
     if rng is not None:
         extra["removed"] = removals
@@ -186,15 +204,14 @@ def _substitution_sweep(
 
     A previous selection k is dominated when every fiber it survives is already
     survived by the newest path together with the drawn peer; removing it keeps
-    coverage identical (asserted) and can only shrink the fiber footprint.
+    coverage identical (checked) and can only shrink the fiber footprint.
     """
+    survive = state._survive
     previous = [k for k in state.selected if k != newest]
     peer = previous[rng.randrange(len(previous))]
-    dominated_by = state.mat.survive_mask(newest) | state.mat.survive_mask(peer)
+    dominated_by = survive[newest - 1] | survive[peer - 1]
     victims = [
-        k
-        for k in previous
-        if k != peer and state.mat.survive_mask(k) & ~dominated_by == 0
+        k for k in previous if k != peer and survive[k - 1] & ~dominated_by == 0
     ]
     if not victims:
         return
@@ -203,8 +220,11 @@ def _substitution_sweep(
     state.remove(victim)
     after = 0
     for k in state.selected:
-        after |= state.mat.survive_mask(k)
-    assert after == before, "substitution sweep must preserve coverage"
+        after |= survive[k - 1]
+    if after != before:
+        raise SurvPathError(
+            f"substitution sweep lost coverage retiring path {victim}"
+        )
     removals.append(victim)
 
 

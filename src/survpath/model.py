@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "SurvPathError",
@@ -298,16 +298,26 @@ class SurvivalMatrix:
         for j, mask in enumerate(self.used_masks, start=1):
             if mask < 0 or mask & ~fiber_space:
                 raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
+        # Transpose in C: lay the masks end to end, path 1 lowest, in byte-
+        # aligned slots of ``step`` bits, and print them as one binary string.
+        # Digit ``step-1-i`` of every slot is then fiber i+1 of one path, last
+        # path first, so one strided slice read in base 2 is fiber i+1's
+        # used-row.  The cost is a few passes over n*step digits, whatever the fill.
+        width = (self.num_fibers + 7) // 8
+        step = 8 * width
+        packed = int.from_bytes(
+            b"".join(mask.to_bytes(width, "little") for mask in self.used_masks),
+            "little",
+        )
+        digits = format(packed, f"0{self.num_paths * step}b")
+        everyone = self.all_paths_mask
         rows = []
         load = []
         for i in range(self.num_fibers):
-            bit = 1 << i
-            row = 0
-            for j, mask in enumerate(self.used_masks):
-                if not mask & bit:
-                    row |= 1 << j
-            rows.append(row)
-            load.append(self.num_paths - row.bit_count())
+            # With no paths the slice is empty (or the lone "0" of zero).
+            used = int(digits[step - 1 - i :: step] or "0", 2)
+            rows.append(everyone ^ used)
+            load.append(used.bit_count())
         object.__setattr__(self, "survive_rows", tuple(rows))
         object.__setattr__(self, "fiber_load", tuple(load))
 
@@ -373,8 +383,7 @@ class SurvivalMatrix:
         return self.survive_rows[fiber - 1]
 
     def path_fibers(self, path: int) -> frozenset[int]:
-        mask = self.used_mask(path)
-        return frozenset(i + 1 for i in range(self.num_fibers) if mask >> i & 1)
+        return frozenset(_bit_ids(self.used_mask(path)))
 
     def path_cost(self, path: int) -> int:
         """Number of distinct fibers path ``path`` uses."""
@@ -406,25 +415,31 @@ class SurvivalMatrix:
     def uncovered_fibers(self, paths: Iterable[int]) -> tuple[int, ...]:
         """Fibers whose failure kills every path in ``paths``, ascending."""
         missing = self.all_fibers_mask & ~self.survived_fibers_mask(paths)
-        return tuple(i + 1 for i in range(self.num_fibers) if missing >> i & 1)
+        return tuple(_bit_ids(missing))
 
     def fibers_used_by(self, paths: Iterable[int]) -> frozenset[int]:
         union = 0
         for j in paths:
             union |= self.used_mask(j)
-        return frozenset(i + 1 for i in range(self.num_fibers) if union >> i & 1)
+        return frozenset(_bit_ids(union))
 
     def infeasible_fibers(self) -> tuple[int, ...]:
         """Fibers used by every path; nonempty iff no survivable set exists."""
-        return tuple(
-            i + 1 for i in range(self.num_fibers) if self.survive_rows[i] == 0
-        )
+        return tuple(i for i, row in enumerate(self.survive_rows, start=1) if not row)
 
     def max_fiber_load(self) -> int:
         return max(self.fiber_load, default=0)
 
     def max_path_cost(self) -> int:
         return max((m.bit_count() for m in self.used_masks), default=0)
+
+
+def _bit_ids(mask: int) -> Iterator[int]:
+    """1-based positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
 def build_survival_matrix(

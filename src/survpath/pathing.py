@@ -19,6 +19,7 @@ from .model import (
     Limits,
     LogicalPath,
     SurvivalMatrix,
+    SurvPathError,
     ValidationError,
 )
 
@@ -89,12 +90,12 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
         entries.sort()
 
     source, sink = net.logical.source, net.logical.sink
-    link_fibers = [0] * (net.logical.num_links + 1)
-    for k in range(1, net.logical.num_links + 1):
-        mask = 0
-        for f in net.routing.routes[k - 1]:
-            mask |= 1 << (f - 1)
-        link_fibers[k] = mask
+    # Per link id (index 0 unused): its fiber set, and that set as a bitmask.
+    link_sets = [frozenset()]
+    link_fibers = [0]
+    for route in net.routing.routes:
+        link_sets.append(frozenset(route))
+        link_fibers.append(sum(1 << (f - 1) for f in link_sets[-1]))
 
     found: list[tuple[int, ...]] = []
     # Depth-first with an explicit stack (a path may be longer than the
@@ -126,27 +127,35 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
                 prefix.pop()
     found.sort()
 
-    paths = []
-    for pos, links in enumerate(found, start=1):
-        paths.append(
-            LogicalPath(
-                path_id=pos, links=links, fibers_used=net.fibers_of_links(links)
-            )
+    return [
+        LogicalPath(
+            path_id=pos,
+            links=links,
+            fibers_used=frozenset().union(*(link_sets[k] for k in links)),
         )
-    return paths
+        for pos, links in enumerate(found, start=1)
+    ]
 
 
 def enumerate_paths_k_restricted(net: LayeredNetwork, max_fibers: int) -> PathCatalog:
     """Enumerate every simple s-t logical path using at most ``max_fibers`` fibers.
 
     A disconnected logical layer yields an empty (still complete) catalog.  The
-    catalog size is bounded by m^K for m fibers, which is asserted rather than
-    assumed.
+    number of distinct fiber footprints is bounded by m^K for m fibers, which
+    is checked rather than assumed.  The path count is not: parallel logical
+    links over the same fibers give distinct paths with one footprint.
     """
     if max_fibers < 1:
         raise ValidationError("max_fibers must be >= 1")
     paths = _enumerate(net, max_fibers)
-    assert len(paths) <= max(net.num_fibers, 1) ** max_fibers
+    bound = max(net.num_fibers, 1) ** max_fibers
+    if len(paths) > bound:
+        footprints = len({p.fibers_used for p in paths})
+        if footprints > bound:
+            raise SurvPathError(
+                f"enumeration found {footprints} distinct fiber sets, above "
+                f"the m^K bound {bound}"
+            )
     return PathCatalog(
         paths=tuple(paths),
         limits=Limits(max_fibers_per_path=max_fibers),

@@ -1,5 +1,7 @@
-"""The exact solvers' witness checks and the greedy's progress check must
-raise, not ``assert``, so that they hold under ``python -O`` too."""
+"""The library's invariant checks must raise, not ``assert``, so that they
+hold under ``python -O`` too: the exact solvers' witness checks, the greedies'
+progress and coverage checks, the enumeration bound and the gadget's path
+count.  Each is driven by a bad state or a monkeypatched helper."""
 
 from __future__ import annotations
 
@@ -8,13 +10,31 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import survpath
+import survpath.instances
 import survpath.mfsp
 import survpath.msp
-from survpath import PathSet, SurvPathError, mfsp_exact, msp_exact
+import survpath.pathing
+from survpath import (
+    LayeredNetwork,
+    LightpathRouting,
+    LogicalTopology,
+    PathSet,
+    PhysicalTopology,
+    SurvivalMatrix,
+    SurvPathError,
+    enumerate_paths_k_restricted,
+    gen_mfsp_3setcover_gadget,
+    mfsp_exact,
+    mfsp_nacg,
+    msp_exact,
+)
+from survpath.mfsp import GreedyState, _substitution_sweep
+from survpath.model import LogicalPath
 from survpath.msp import _greedy_selection
 
 
@@ -59,17 +79,115 @@ def test_witness_check_still_raises_under_python_O():
         "except SurvPathError as exc:\n"
         "    print('rejected:', exc)\n"
     )
+    proc = _run_optimized(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: exact witness [1, 2]")
+
+
+def _run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a ``python -O`` subprocess that imports this survpath."""
     env = dict(os.environ)
     src = str(Path(survpath.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", code],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_best_candidate_without_an_eligible_path_raises(uncoverable):
+    # Both paths selected and fiber 1 still uncovered: nothing is left to add.
+    state = GreedyState(mat=uncoverable, dynamic=True)
+    state.select(1)
+    state.select(2)
+    with pytest.raises(SurvPathError, match="no unselected path survives"):
+        state.best_candidate()
+
+
+def test_best_candidate_check_still_raises_under_python_O():
+    code = (
+        "from survpath import SurvPathError, SurvivalMatrix\n"
+        "from survpath.mfsp import GreedyState\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "mat = SurvivalMatrix.from_fiber_sets(2, [[1], [1, 2]])\n"
+        "state = GreedyState(mat=mat, dynamic=False)\n"
+        "state.select(1)\n"
+        "state.select(2)\n"
+        "try:\n"
+        "    state.best_candidate()\n"
+        "except SurvPathError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected: exact witness [1, 2]")
+    assert proc.stdout.startswith("rejected: no unselected path survives")
+
+
+def test_greedy_run_rejects_an_unsurvivable_result(pairwise3, monkeypatch):
+    # Stop the greedy after its first pick: one path of pairwise3 survives
+    # only one of the three fibers.
+    monkeypatch.setattr(
+        GreedyState, "complete", property(lambda state: bool(state.selected))
+    )
+    with pytest.raises(SurvPathError, match="greedy selection .* is not survivable"):
+        mfsp_nacg(pairwise3)
+
+
+def test_substitution_sweep_rejects_a_coverage_loss():
+    # Path 3 survives both fibers, so it dominates paths 1 and 2; but the state
+    # claims 3 is the newest pick without holding it, so retiring a dominated
+    # path loses the fiber only that path survived.
+    mat = SurvivalMatrix.from_fiber_sets(2, [[2], [1], []])
+    state = GreedyState(mat=mat, dynamic=True)
+    state.select(1)
+    state.select(2)
+    with pytest.raises(SurvPathError, match="substitution sweep lost coverage"):
+        _substitution_sweep(state, 3, Random(0), [])
+
+
+def test_enumeration_above_the_footprint_bound_raises(monkeypatch):
+    # Two fibers and K=1 allow at most 2 distinct fiber sets; report three.
+    net = _parallel_net(links=1, fibers=2)
+    fake = [
+        LogicalPath(path_id=j, links=(j,), fibers_used=frozenset(fs))
+        for j, fs in enumerate(([1], [2], [1, 2]), start=1)
+    ]
+    monkeypatch.setattr(survpath.pathing, "_enumerate", lambda net, cap: fake)
+    with pytest.raises(SurvPathError, match="3 distinct fiber sets, above the m\\^K bound 2"):
+        enumerate_paths_k_restricted(net, 1)
+
+
+def test_gadget_with_a_wrong_path_count_raises(monkeypatch):
+    real = survpath.instances.enumerate_paths_unrestricted
+
+    def drop_last(net):
+        catalog = real(net)
+        return replace(catalog, paths=catalog.paths[:-1])
+
+    monkeypatch.setattr(survpath.instances, "enumerate_paths_unrestricted", drop_last)
+    with pytest.raises(SurvPathError, match="got 5 instead of 6"):
+        gen_mfsp_3setcover_gadget(3, [[1, 2, 3], [1, 2, 3]], 15)
+
+
+def _parallel_net(links: int, fibers: int) -> LayeredNetwork:
+    """``links`` parallel s-t logical links, all routed over fiber 1 of
+    ``fibers`` parallel s-t fibers."""
+    return LayeredNetwork(
+        physical=PhysicalTopology(nodes=("s", "t"), fibers=(("s", "t"),) * fibers),
+        logical=LogicalTopology(
+            nodes=("s", "t"), links=(("s", "t"),) * links, source="s", sink="t"
+        ),
+        routing=LightpathRouting(routes=((1,),) * links),
+    )
+
+
+def test_parallel_links_over_one_fiber_enumerate_past_m_to_the_k():
+    # Three link sequences share the one footprint {1}: three paths on m=1,
+    # K=1 are legal, since m^K bounds distinct fiber sets, not paths.
+    catalog = enumerate_paths_k_restricted(_parallel_net(links=3, fibers=1), 1)
+    assert [p.links for p in catalog.paths] == [(1,), (2,), (3,)]
