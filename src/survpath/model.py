@@ -298,26 +298,25 @@ class SurvivalMatrix:
         for j, mask in enumerate(self.used_masks, start=1):
             if mask < 0 or mask & ~fiber_space:
                 raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
-        # Transpose in C: lay the masks end to end, path 1 lowest, in byte-
-        # aligned slots of ``step`` bits, and print them as one binary string.
-        # Digit ``step-1-i`` of every slot is then fiber i+1 of one path, last
-        # path first, so one strided slice read in base 2 is fiber i+1's
-        # used-row.  The cost is a few passes over n*step digits, whatever the fill.
+        # Transpose in C, one byte column at a time: byte b of every mask,
+        # path 1 lowest, read as one int and printed as one binary string of
+        # 8 digits per path, last path first.  Digit 7-t of each group is then
+        # fiber 8b+t+1 of one path, so one strided slice read in base 2 is that
+        # fiber's used-row.  The cost does not depend on the fill, and only one
+        # column's digits are alive at a time.
         width = (self.num_fibers + 7) // 8
-        step = 8 * width
-        packed = int.from_bytes(
-            b"".join(mask.to_bytes(width, "little") for mask in self.used_masks),
-            "little",
-        )
-        digits = format(packed, f"0{self.num_paths * step}b")
+        packed = b"".join(mask.to_bytes(width, "little") for mask in self.used_masks)
         everyone = self.all_paths_mask
         rows = []
         load = []
-        for i in range(self.num_fibers):
-            # With no paths the slice is empty (or the lone "0" of zero).
-            used = int(digits[step - 1 - i :: step] or "0", 2)
-            rows.append(everyone ^ used)
-            load.append(used.bit_count())
+        for b in range(width):
+            column = int.from_bytes(packed[b::width], "little")
+            digits = format(column, f"0{8 * self.num_paths}b")
+            for t in range(min(8, self.num_fibers - 8 * b)):
+                # With no paths the slice is empty (or the lone "0" of zero).
+                used = int(digits[7 - t :: 8] or "0", 2)
+                rows.append(everyone ^ used)
+                load.append(used.bit_count())
         object.__setattr__(self, "survive_rows", tuple(rows))
         object.__setattr__(self, "fiber_load", tuple(load))
 
