@@ -77,11 +77,11 @@ class GreedyState:
     used_union: int = 0
     # Per-path survive and used masks, index j-1 for path j, read once.
     _survive: list[int] = field(init=False, repr=False, compare=False)
-    _used: list[int] = field(init=False, repr=False, compare=False)
+    _used: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         full = self.mat.all_fibers_mask
-        self._used = list(self.mat.used_masks)
+        self._used = self.mat.used_masks
         self._survive = [full & ~used for used in self._used]
 
     def gain(self, j: int) -> int:
