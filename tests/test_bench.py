@@ -125,6 +125,14 @@ def test_msp_experiment_uses_msp_algorithms():
     assert {r.alg for r in result.rows} == {"greedy", "epsnet"}
 
 
+def test_default_algorithms_follow_the_problem():
+    grid = dict(num_paths=8, num_fibers=10, w_values=(2,), trials=1, seed=3)
+    msp = run_experiment(problem="msp", **grid)
+    assert {r.alg for r in msp.rows} == {"greedy", "epsnet"}
+    mfsp = run_experiment(problem="mfsp", **grid)
+    assert {r.alg for r in mfsp.rows} == {"acg", "nacg", "rsg"}
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValidationError):
         _small_experiment(algs=("acg", "nope"))

@@ -25,6 +25,7 @@ from survpath import (
     LogicalTopology,
     PathSet,
     PhysicalTopology,
+    SearchBudgetExceeded,
     SurvivalMatrix,
     SurvPathError,
     enumerate_paths_k_restricted,
@@ -36,6 +37,8 @@ from survpath import (
 from survpath.mfsp import GreedyState, _substitution_sweep
 from survpath.model import LogicalPath
 from survpath.msp import _greedy_selection
+
+from oracles import random_feasible_matrix
 
 
 def test_msp_exact_rejects_a_size_with_no_witness(pairwise3, monkeypatch):
@@ -191,3 +194,19 @@ def test_parallel_links_over_one_fiber_enumerate_past_m_to_the_k():
     # K=1 are legal, since m^K bounds distinct fiber sets, not paths.
     catalog = enumerate_paths_k_restricted(_parallel_net(links=3, fibers=1), 1)
     assert [p.links for p in catalog.paths] == [(1,), (2,), (3,)]
+
+
+@pytest.mark.parametrize("solve", [msp_exact, mfsp_exact])
+def test_node_budget_boundary_is_exact(solve):
+    # One budget spans the whole search (for MSP, both passes): a limit of
+    # exactly the node count returns the same report, one less raises after
+    # one node more than it allows.
+    rng = Random(20261018)
+    for _ in range(40):
+        mat = random_feasible_matrix(rng, max_paths=10, max_fibers=10)
+        report = solve(mat)
+        again = solve(mat, node_limit=report.iterations)
+        assert again.to_dict() == report.to_dict()
+        with pytest.raises(SearchBudgetExceeded) as exc_info:
+            solve(mat, node_limit=report.iterations - 1)
+        assert exc_info.value.nodes == report.iterations
