@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import SurvPathError, SurvivalMatrix, _Stopwatch, require_feasible
+from .model import SurvPathError, SurvivalMatrix, _bit_ids, _Stopwatch, require_feasible
 
 __all__ = ["FractionalSolution", "solve_mfsp_relaxation"]
 
@@ -191,9 +191,8 @@ def solve_mfsp_relaxation(mat: SurvivalMatrix) -> FractionalSolution:
 
     links = [
         (i, j)
-        for j in range(1, n + 1)
-        for i in range(1, m + 1)
-        if mat.uses(i, j)
+        for j, used in enumerate(mat.used_masks, start=1)
+        for i in _bit_ids(used)
     ]
     n_link = len(links)
     # Column layout: p (n) | f (m) | cover surplus (m) | link slack (n_link)
@@ -208,12 +207,10 @@ def solve_mfsp_relaxation(mat: SurvivalMatrix) -> FractionalSolution:
     rows: list[list[int]] = []
     basis: list[int] = []
 
-    for i in range(1, m + 1):
+    for i, survivors in enumerate(mat.survive_rows, start=1):
         row = [0] * (ncols + 1)
-        survivors = mat.survivor_row(i)
-        for j in range(n):
-            if survivors >> j & 1:
-                row[j] = 1
+        for j in _bit_ids(survivors):
+            row[j - 1] = 1
         row[col_surp + i - 1] = -1
         row[col_art + i - 1] = 1
         row[-1] = 1

@@ -32,7 +32,6 @@ from .model import (
     Limits,
     PathSet,
     PreconditionError,
-    SearchBudgetExceeded,
     SolveReport,
     SurvPathError,
     SurvivalMatrix,
@@ -40,7 +39,7 @@ from .model import (
     _Stopwatch,
     require_feasible,
 )
-from .msp import _greedy_selection, msp_epsnet
+from .msp import _branch_row, _Budget, _greedy_selection, _validated_limits, msp_epsnet
 
 __all__ = [
     "GreedyState",
@@ -75,14 +74,6 @@ class GreedyState:
     selected: list[int] = field(default_factory=list)
     covered_mask: int = 0
     used_union: int = 0
-    # Per-path survive and used masks, index j-1 for path j, read once.
-    _survive: list[int] = field(init=False, repr=False, compare=False)
-    _used: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        full = self.mat.all_fibers_mask
-        self._used = self.mat.used_masks
-        self._survive = [full & ~used for used in self._used]
 
     def gain(self, j: int) -> int:
         """Fibers newly survived if path j were selected now."""
@@ -118,7 +109,8 @@ class GreedyState:
         # gain() and cost() inlined over the mask lists: ids here are valid.
         uncovered = ~self.covered_mask
         unlit = ~self.used_union if self.dynamic else -1
-        for j, (survive, used) in enumerate(zip(self._survive, self._used), start=1):
+        masks = zip(self.mat.survive_masks, self.mat.used_masks)
+        for j, (survive, used) in enumerate(masks, start=1):
             if j in chosen:
                 continue
             g = (survive & uncovered).bit_count()
@@ -144,16 +136,17 @@ class GreedyState:
         """Add path j; returns its (cost, gain) as charged at selection time."""
         c, g = self.cost(j), self.gain(j)
         self.selected.append(j)
-        self.covered_mask |= self._survive[j - 1]
-        self.used_union |= self._used[j - 1]
+        self.covered_mask |= self.mat.survive_masks[j - 1]
+        self.used_union |= self.mat.used_masks[j - 1]
         return c, g
 
     def remove(self, j: int) -> None:
         """Drop path j and rebuild the fiber footprint (coverage must hold)."""
         self.selected.remove(j)
+        used = self.mat.used_masks
         self.used_union = 0
         for k in self.selected:
-            self.used_union |= self._used[k - 1]
+            self.used_union |= used[k - 1]
 
 
 def _greedy_run(
@@ -206,7 +199,7 @@ def _substitution_sweep(
     survived by the newest path together with the drawn peer; removing it keeps
     coverage identical (checked) and can only shrink the fiber footprint.
     """
-    survive = state._survive
+    survive = state.mat.survive_masks
     previous = [k for k in state.selected if k != newest]
     peer = previous[rng.randrange(len(previous))]
     dominated_by = survive[newest - 1] | survive[peer - 1]
@@ -282,15 +275,13 @@ def mfsp_exact(
     """
     clock = _Stopwatch()
     require_feasible(mat)
-    limits = limits if limits is not None else Limits()
-    limits.validate_against(mat)
+    limits = _validated_limits(mat, limits)
     size_bound = _mfsp_size_bound(mat, limits)
 
-    n = mat.num_paths
     full = mat.all_fibers_mask
-    survive = [mat.survive_mask(j) for j in range(1, n + 1)]
-    used = [mat.used_mask(j) for j in range(1, n + 1)]
-    rows = [mat.survivor_row(i) for i in range(1, mat.num_fibers + 1)]
+    survive = mat.survive_masks
+    used = mat.used_masks
+    rows = mat.survive_rows
 
     seed_report = mfsp_nacg(mat)
     incumbent_ids = tuple(sorted(seed_report.solution.selected))
@@ -299,12 +290,10 @@ def mfsp_exact(
         len(incumbent_ids),
         incumbent_ids,
     ]
-    budget = [0, node_limit if node_limit is not None else math.inf]
+    budget = _Budget(node_limit)
 
     def descend(selected: list[int], covered: int, union: int, eligible: int) -> None:
-        budget[0] += 1
-        if budget[0] > budget[1]:
-            raise SearchBudgetExceeded(budget[0])
+        budget.tick()
         fibers_now = union.bit_count()
         if covered == full:
             candidate = (fibers_now, len(selected), tuple(sorted(selected)))
@@ -318,19 +307,9 @@ def mfsp_exact(
         if fibers_now == best[0] and len(selected) + 1 > best[1]:
             return
         uncovered = full & ~covered
-        branch_row = 0
-        branch_count = n + 1
-        remaining = uncovered
-        while remaining:
-            low = remaining & -remaining
-            row = rows[low.bit_length() - 1] & eligible
-            count = row.bit_count()
-            if count < branch_count:
-                branch_count = count
-                branch_row = row
-                if count == 0:
-                    return
-            remaining ^= low
+        branch_row = _branch_row(rows, uncovered, eligible)
+        if not branch_row:
+            return
         # Admissible bound: any extension adds at least the cheapest helpful
         # candidate's new fibers.
         min_new = None
@@ -363,7 +342,7 @@ def mfsp_exact(
                 siblings,
             )
 
-    descend([], 0, 0, (1 << n) - 1)
+    descend([], 0, 0, mat.all_paths_mask)
 
     solution = PathSet.from_ids(mat, best[2])
     if not solution.survivable or solution.num_fibers_used != best[0]:
@@ -375,7 +354,7 @@ def mfsp_exact(
         problem="mfsp",
         solution=solution,
         objective=best[0],
-        iterations=budget[0],
+        iterations=budget.nodes,
         seed=None,
         elapsed=clock.elapsed(),
         extra={"size_bound": size_bound},

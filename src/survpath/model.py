@@ -279,13 +279,17 @@ class SurvivalMatrix:
     ``used_masks[j-1]`` has bit ``i-1`` set iff path ``j`` uses fiber ``i``
     (so ``a[i][j] == 0``).  Derived fields:
 
+    * ``survive_masks[j-1]``: bit ``i-1`` set iff path ``j`` survives fiber ``i``;
     * ``survive_rows[i-1]``: bit ``j-1`` set iff path ``j`` survives fiber ``i``;
     * ``fiber_load[i-1]``: number of paths using fiber ``i`` (row load).
+
+    Solvers read these tuples directly; the accessors below check ids.
     """
 
     num_fibers: int
     num_paths: int
     used_masks: tuple[int, ...]
+    survive_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     survive_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     fiber_load: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -298,6 +302,9 @@ class SurvivalMatrix:
         for j, mask in enumerate(self.used_masks, start=1):
             if mask < 0 or mask & ~fiber_space:
                 raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
+        object.__setattr__(
+            self, "survive_masks", tuple(fiber_space ^ used for used in self.used_masks)
+        )
         # Transpose in C, one byte column at a time: byte b of every mask,
         # path 1 lowest, read as one int and printed as one binary string of
         # 8 digits per path, last path first.  Digit 7-t of each group is then
@@ -374,7 +381,7 @@ class SurvivalMatrix:
     def survive_mask(self, path: int) -> int:
         """Fibers (as a bitmask) whose failure path ``path`` survives."""
         self._check_path(path)
-        return self.all_fibers_mask & ~self.used_masks[path - 1]
+        return self.survive_masks[path - 1]
 
     def survivor_row(self, fiber: int) -> int:
         """Paths (as a bitmask) that survive the failure of fiber ``fiber``."""
@@ -389,13 +396,6 @@ class SurvivalMatrix:
         return self.used_mask(path).bit_count()
 
     # -- set queries -------------------------------------------------------
-
-    def _ids_mask(self, paths: Iterable[int]) -> int:
-        mask = 0
-        for j in paths:
-            self._check_path(j)
-            mask |= 1 << (j - 1)
-        return mask
 
     def survived_fibers_mask(self, paths: Iterable[int]) -> int:
         """Fibers whose failure at least one path in ``paths`` survives."""
@@ -447,25 +447,17 @@ def build_survival_matrix(
     """Expand logical paths over a layered network into a survival matrix.
 
     Each path's recorded fiber set is cross-checked against the routing of its
-    link sequence; a mismatch or an unknown fiber raises
-    :class:`RoutingIntegrityError`.
+    link sequence; a mismatch raises :class:`RoutingIntegrityError`.  Once the
+    check passes every fiber is one the network validated.
     """
-    masks = []
     for path in paths:
-        expected = net.fibers_of_links(path.links)
-        if path.fibers_used != expected:
+        if path.fibers_used != net.fibers_of_links(path.links):
             raise RoutingIntegrityError(
                 f"path {path.path_id}: recorded fiber set does not match its routing"
             )
-        mask = 0
-        for f in path.fibers_used:
-            if not 1 <= f <= net.num_fibers:
-                raise RoutingIntegrityError(
-                    f"path {path.path_id} uses unknown fiber {f}"
-                )
-            mask |= 1 << (f - 1)
-        masks.append(mask)
-    return SurvivalMatrix(net.num_fibers, len(masks), tuple(masks))
+    return SurvivalMatrix.from_fiber_sets(
+        net.num_fibers, [path.fibers_used for path in paths]
+    )
 
 
 def is_survivable(mat: SurvivalMatrix, paths: Iterable[int]) -> bool:

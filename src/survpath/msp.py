@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import (
     Limits,
@@ -33,6 +33,7 @@ from .model import (
     SolveReport,
     SurvPathError,
     SurvivalMatrix,
+    _bit_ids,
     _Stopwatch,
     require_feasible,
 )
@@ -62,6 +63,40 @@ def _validated_limits(mat: SurvivalMatrix, limits: Limits | None) -> Limits:
     return limits
 
 
+class _Budget:
+    """Node counter shared by every pass of one exact search."""
+
+    __slots__ = ("nodes", "limit")
+
+    def __init__(self, limit: int | None) -> None:
+        self.nodes = 0
+        self.limit = limit if limit is not None else math.inf
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise SearchBudgetExceeded(self.nodes)
+
+
+def _branch_row(rows: Sequence[int], uncovered: int, eligible: int) -> int:
+    """Eligible survivors (as a path mask) of the uncovered fiber with the
+    fewest of them, ties to the lowest fiber; 0 when some uncovered fiber has
+    none, so the node is a dead end."""
+    best_row = 0
+    best_count = eligible.bit_count() + 1
+    while uncovered:
+        low = uncovered & -uncovered
+        row = rows[low.bit_length() - 1] & eligible
+        count = row.bit_count()
+        if count < best_count:
+            if count == 0:
+                return 0
+            best_count = count
+            best_row = row
+        uncovered ^= low
+    return best_row
+
+
 def effective_fiber_cap(mat: SurvivalMatrix, limits: Limits | None) -> int:
     """Declared per-path fiber cap, or the instance's max path cost (>= 1)."""
     if limits is not None and limits.max_fibers_per_path is not None:
@@ -80,7 +115,7 @@ def _greedy_selection(
     """Max-coverage greedy over fiber rows, extending the ``start`` selection
     until it is survivable; returns (added ids, per-step trace)."""
     full = mat.all_fibers_mask
-    survive = [mat.survive_mask(j) for j in range(1, mat.num_paths + 1)]
+    survive = mat.survive_masks
     covered = chosen_mask = 0
     for j in start:
         covered |= survive[j - 1]
@@ -139,7 +174,7 @@ def msp_greedy(mat: SurvivalMatrix) -> SolveReport:
 
 
 def _min_cover_size(
-    mat: SurvivalMatrix, bound: int, incumbent: list[int], budget: list
+    mat: SurvivalMatrix, bound: int, incumbent: list[int], budget: _Budget
 ) -> int:
     """Branch-and-bound for the minimum survivable-set size.
 
@@ -148,39 +183,22 @@ def _min_cover_size(
     and visits every survivable set at most once.
     """
     full = mat.all_fibers_mask
-    n = mat.num_paths
-    survive = [mat.survive_mask(j) for j in range(1, n + 1)]
-    rows = [mat.survivor_row(i) for i in range(1, mat.num_fibers + 1)]
+    survive = mat.survive_masks
+    rows = mat.survive_rows
     best = min(len(incumbent), bound)
-
-    def tick() -> None:
-        budget[0] += 1
-        if budget[0] > budget[1]:
-            raise SearchBudgetExceeded(budget[0])
 
     def descend(depth: int, covered: int, eligible: int) -> None:
         nonlocal best
-        tick()
+        budget.tick()
         if covered == full:
             best = min(best, depth)
             return
         if depth + 1 >= best:
             return
         uncovered = full & ~covered
-        # Pick the branch fiber with the fewest remaining survivors.
-        branch_row = 0
-        branch_count = n + 1
-        remaining = uncovered
-        while remaining:
-            low = remaining & -remaining
-            row = rows[low.bit_length() - 1] & eligible
-            count = row.bit_count()
-            if count < branch_count:
-                branch_count = count
-                branch_row = row
-                if count == 0:
-                    return
-            remaining ^= low
+        branch_row = _branch_row(rows, uncovered, eligible)
+        if not branch_row:
+            return
         # Admissible bound: each further path covers at most max_gain fibers.
         max_gain = 0
         probe = eligible
@@ -202,11 +220,11 @@ def _min_cover_size(
             if depth + 1 >= best:
                 return
 
-    descend(0, 0, (1 << n) - 1)
+    descend(0, 0, mat.all_paths_mask)
     return best
 
 
-def _lex_smallest_cover(mat: SurvivalMatrix, size: int, budget: list) -> list[int]:
+def _lex_smallest_cover(mat: SurvivalMatrix, size: int, budget: _Budget) -> list[int]:
     """First survivable set of the given (optimal) size in ascending-id order.
 
     Depth-first over ascending ids returns the lexicographically smallest
@@ -215,18 +233,13 @@ def _lex_smallest_cover(mat: SurvivalMatrix, size: int, budget: list) -> list[in
     """
     full = mat.all_fibers_mask
     n = mat.num_paths
-    survive = [mat.survive_mask(j) for j in range(1, n + 1)]
+    survive = mat.survive_masks
     suffix_cover = [0] * (n + 2)
     for j in range(n, 0, -1):
         suffix_cover[j] = suffix_cover[j + 1] | survive[j - 1]
 
-    def tick() -> None:
-        budget[0] += 1
-        if budget[0] > budget[1]:
-            raise SearchBudgetExceeded(budget[0])
-
     def extend(start: int, chosen: list[int], covered: int) -> list[int] | None:
-        tick()
+        budget.tick()
         if covered == full:
             return list(chosen) if len(chosen) == size else None
         if len(chosen) == size:
@@ -271,7 +284,7 @@ def msp_exact(
     require_feasible(mat)
     limits = _validated_limits(mat, limits)
     bound = _size_bound(mat, limits)
-    budget = [0, node_limit if node_limit is not None else math.inf]
+    budget = _Budget(node_limit)
 
     incumbent, _ = _greedy_selection(mat)
     best_size = _min_cover_size(mat, bound, incumbent, budget)
@@ -287,7 +300,7 @@ def msp_exact(
         problem="msp",
         solution=solution,
         objective=best_size,
-        iterations=budget[0],
+        iterations=budget.nodes,
         seed=None,
         elapsed=clock.elapsed(),
         extra={"size_bound": bound},
@@ -310,17 +323,12 @@ class EpsNetState:
     """
 
     weights: list[int]
-    epsilon: float
     sample_size: int
-    c: float
     unsurvived: tuple[int, ...] = ()
     rounds: int = field(default=0)
 
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
     def distribution(self) -> list[float]:
-        total = self.total_weight()
+        total = sum(self.weights)
         return [w / total for w in self.weights]
 
     def sample(self, rng: Random) -> list[int]:
@@ -340,12 +348,10 @@ class EpsNetState:
 
     def double_survivors(self, mat: SurvivalMatrix, uncovered_mask: int) -> None:
         """Double the weight of every path surviving some uncovered fiber."""
+        rows = mat.survive_rows
         boost = 0
-        remaining = uncovered_mask
-        while remaining:
-            low = remaining & -remaining
-            boost |= mat.survivor_row(low.bit_length())
-            remaining ^= low
+        for i in _bit_ids(uncovered_mask):
+            boost |= rows[i - 1]
         for j in range(len(self.weights)):
             if boost >> j & 1:
                 self.weights[j] *= 2
@@ -382,9 +388,7 @@ def epsnet_round(state: EpsNetState, mat: SurvivalMatrix, rng: Random) -> list[i
         state.unsurvived = ()
         return _prune_to_minimal(mat, sample)
     uncovered_mask = full & ~covered
-    state.unsurvived = tuple(
-        i + 1 for i in range(mat.num_fibers) if uncovered_mask >> i & 1
-    )
+    state.unsurvived = tuple(_bit_ids(uncovered_mask))
     state.double_survivors(mat, uncovered_mask)
     return None
 
@@ -455,9 +459,7 @@ def msp_epsnet(
             round_cap = math.ceil(4.0 * guess * math.log2(m / guess)) + 1
         else:
             round_cap = 1
-        state = EpsNetState(
-            weights=[1] * n, epsilon=epsilon, sample_size=sample_size, c=c
-        )
+        state = EpsNetState(weights=[1] * n, sample_size=sample_size)
         for _ in range(round_cap):
             found = epsnet_round(state, mat, rng)
             if found is not None:

@@ -1,9 +1,10 @@
 """The survival matrix's derived fields against their per-cell definition.
 
-``survive_rows`` and ``fiber_load`` are a transpose of ``used_masks``; these
-tests rebuild them one (fiber, path) cell at a time on seeded shapes, including
-the word-size edges, and check that every way of building a matrix from the
-same fiber sets agrees, down to the enumerated paths' own fiber sets.
+``survive_rows`` and ``fiber_load`` are a transpose of ``used_masks``, and
+``survive_masks`` is its complement; these tests rebuild them one (fiber,
+path) cell at a time on seeded shapes, including the word-size edges, and
+check that every way of building a matrix from the same fiber sets agrees,
+down to the enumerated paths' own fiber sets.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ def test_derived_fields_match_the_per_cell_definition(m, n):
     rows, load = reference_rows(m, masks)
     assert mat.survive_rows == rows
     assert mat.fiber_load == load
+    assert mat.survive_masks == tuple(
+        sum(1 << i for i in range(m) if rows[i] >> j & 1) for j in range(n)
+    )
     full = (1 << m) - 1
     for j, mask in enumerate(masks, start=1):
         assert mat.survive_mask(j) == full & ~mask

@@ -298,7 +298,7 @@ def test_epsnet_success_rate_and_quality_under_w():
 
 
 def test_epsnet_weights_stay_powers_of_two(pairwise3):
-    state = EpsNetState(weights=[1, 1, 1], epsilon=0.5, sample_size=2, c=10.0)
+    state = EpsNetState(weights=[1, 1, 1], sample_size=2)
     rng = Random(5)
     for _ in range(6):
         outcome = epsnet_round(state, pairwise3, rng)
@@ -314,7 +314,7 @@ def test_epsnet_doubles_only_helpful_paths():
     # Fiber 1 is missed when the sample is {3} (path 3 uses fiber 1); the
     # paths surviving fiber 1 are exactly 1 and 2, so only they double.
     mat = SurvivalMatrix.from_fiber_sets(2, [[2], [2], [1]])
-    state = EpsNetState(weights=[1, 1, 1], epsilon=0.5, sample_size=1, c=1.0)
+    state = EpsNetState(weights=[1, 1, 1], sample_size=1)
     class FixedRng:
         def randrange(self, total):
             return 2  # always lands on path 3
