@@ -90,6 +90,12 @@ SOLVERS: dict[tuple[str, str], Callable[..., SolveReport]] = {
     ),
 }
 PROBLEMS = tuple(dict.fromkeys(problem for problem, _ in SOLVERS))
+# The grid run_experiment (and so ``survpath bench``) runs when no algorithms
+# are named.
+DEFAULT_ALGS: dict[str, tuple[str, ...]] = {
+    "msp": ("greedy", "epsnet"),
+    "mfsp": ("acg", "nacg", "rsg"),
+}
 
 
 def check_algorithms(problem: str, algs: Iterable[str]) -> None:
@@ -306,7 +312,7 @@ def _run_trial(
 def run_experiment(
     *,
     problem: str = "mfsp",
-    algs: tuple[str, ...] = ("acg", "nacg", "rsg"),
+    algs: tuple[str, ...] | None = None,
     num_paths: int,
     num_fibers: int,
     w_values: tuple[int, ...],
@@ -318,7 +324,12 @@ def run_experiment(
     node_limit: int | None = None,
     workers: int | None = None,
 ) -> ExperimentResult:
-    """Run every requested algorithm over ``trials`` fresh instances per W."""
+    """Run every requested algorithm over ``trials`` fresh instances per W.
+
+    ``algs`` defaults to the problem's :data:`DEFAULT_ALGS` grid.
+    """
+    if algs is None:
+        algs = DEFAULT_ALGS.get(problem, ())
     check_algorithms(problem, algs)
     instances = []
     for w in w_values:

@@ -183,9 +183,8 @@ def _parse_w_range(text: str) -> tuple[int, ...]:
 def _cmd_bench(args) -> int:
     try:
         w_values = _parse_w_range(args.w_range)
-        if args.algs is None:
-            algs = ("greedy", "epsnet") if args.problem == "msp" else ("acg", "nacg", "rsg")
-        else:
+        algs = None
+        if args.algs is not None:
             algs = tuple(token.strip() for token in args.algs.split(",") if token.strip())
             if not algs:
                 raise ValidationError("--algs must name at least one algorithm")
