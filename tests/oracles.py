@@ -117,6 +117,27 @@ def random_feasible_matrix(
             return mat
 
 
+def random_setcover_subsets(
+    rng: Random, elements: int, density: float, num_subsets: int | None = None
+) -> list[set[int]]:
+    """Random subsets of 1..elements, shaped like the setcover-msp benchmark.
+
+    Each subset holds each element with probability ``density``; an empty
+    subset gets one random element, and each element that no subset holds is
+    added to a random subset, so the subsets always cover the ground set.
+    ``num_subsets`` defaults to ``elements``.
+    """
+    ground = range(1, elements + 1)
+    count = elements if num_subsets is None else num_subsets
+    subsets = [{e for e in ground if rng.random() < density} for _ in range(count)]
+    for subset in subsets:
+        if not subset:
+            subset.add(rng.choice(ground))
+    for e in sorted(set(ground) - set().union(*subsets)):
+        rng.choice(subsets).add(e)
+    return subsets
+
+
 def random_parallel_layered(rng: Random):
     """Random layered network whose logical layer is parallel s-t links.
 
