@@ -184,3 +184,18 @@ def test_bench_cli_rejects_unknown_algorithm():
     )
     assert proc.returncode == 64
     assert "not a msp solver" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "msp", "--alg", "exact", "--in", PAIRWISE3),
+        ("solve", "mfsp", "--alg", "exact", "--in", PAIRWISE3),
+        ("bench", "--problem", "msp", "--paths", "6", "--fibers", "8",
+         "--w-range", "2..2", "--trials", "1", "--algs", "exact"),
+    ],
+)
+def test_negative_node_limit_exits_64(args):
+    proc = run_cli(*args, "--node-limit", "-3")
+    assert proc.returncode == 64, proc.stderr
+    assert "node_limit" in proc.stderr

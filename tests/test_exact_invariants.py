@@ -25,6 +25,7 @@ from survpath import (
     LogicalTopology,
     PathSet,
     PhysicalTopology,
+    PreconditionError,
     SearchBudgetExceeded,
     SurvivalMatrix,
     SurvPathError,
@@ -210,3 +211,12 @@ def test_node_budget_boundary_is_exact(solve):
         with pytest.raises(SearchBudgetExceeded) as exc_info:
             solve(mat, node_limit=report.iterations - 1)
         assert exc_info.value.nodes == report.iterations
+
+
+@pytest.mark.parametrize("solve", [msp_exact, mfsp_exact])
+def test_negative_node_limit_is_a_precondition_error(pairwise3, solve):
+    with pytest.raises(PreconditionError, match="node_limit"):
+        solve(pairwise3, node_limit=-3)
+    # A zero budget is valid and is spent by the first node.
+    with pytest.raises(SearchBudgetExceeded):
+        solve(pairwise3, node_limit=0)

@@ -21,7 +21,12 @@ from survpath import (
 from survpath.instances import RandomEnsembleConfig
 from survpath.msp import EpsNetState, effective_fiber_cap, epsnet_round
 
-from oracles import brute_min_cover, brute_msp, random_feasible_matrix
+from oracles import (
+    brute_min_cover,
+    brute_msp,
+    random_feasible_matrix,
+    random_setcover_subsets,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +100,15 @@ def test_exact_respects_node_budget():
     with pytest.raises(SearchBudgetExceeded) as exc_info:
         msp_exact(mat, node_limit=1)
     assert exc_info.value.nodes >= 1
+
+
+def test_exact_solves_a_60_set_cover_embedding_within_100k_nodes():
+    # 60 subsets of 60 elements at density 0.25, the setcover-msp shape at a
+    # larger size: the witness pass must prune, not only check feasibility.
+    mat = gen_from_setcover(60, random_setcover_subsets(Random(1), 60, 0.25))
+    report = msp_exact(mat, node_limit=100_000)
+    assert report.objective == 5
+    assert report.solution.survivable
 
 
 def test_exact_infeasible(uncoverable):
