@@ -270,7 +270,7 @@ def mfsp_exact(
 
     Minimizes the distinct-fiber footprint; among minimum-footprint selections
     prefers the fewest paths, then the lexicographically smallest id tuple.
-    ``node_limit`` caps search nodes
+    ``node_limit`` (>= 0) caps search nodes
     (:class:`~survpath.model.SearchBudgetExceeded` beyond it).
     """
     clock = _Stopwatch()

@@ -69,6 +69,8 @@ class _Budget:
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int | None) -> None:
+        if limit is not None and limit < 0:
+            raise PreconditionError(f"node_limit must be >= 0, got {limit}")
         self.nodes = 0
         self.limit = limit if limit is not None else math.inf
 
@@ -277,8 +279,8 @@ def msp_exact(
     Returns the minimum-cardinality survivable set; among optima, the
     lexicographically smallest id tuple.  Declared limits must hold for the
     matrix (raising :class:`~survpath.model.PreconditionError` otherwise) and
-    tighten the search-depth bound to K+1 / W+1.  ``node_limit`` caps search
-    nodes, raising :class:`~survpath.model.SearchBudgetExceeded` beyond it.
+    tighten the search-depth bound to K+1 / W+1.  ``node_limit`` (>= 0) caps
+    search nodes, raising :class:`~survpath.model.SearchBudgetExceeded` beyond it.
     """
     clock = _Stopwatch()
     require_feasible(mat)
