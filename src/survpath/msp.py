@@ -231,7 +231,9 @@ def _lex_smallest_cover(mat: SurvivalMatrix, size: int, budget: _Budget) -> list
 
     Depth-first over ascending ids returns the lexicographically smallest
     witness.  Skipping zero-gain candidates is sound at the optimal size: a
-    minimum cover cannot contain a path contributing no new fiber row.
+    minimum cover cannot contain a path contributing no new fiber row.  The
+    max-gain bound only cuts subtrees holding no cover of that size, so it
+    leaves the first witness found unchanged.
     """
     full = mat.all_fibers_mask
     n = mat.num_paths
@@ -247,6 +249,15 @@ def _lex_smallest_cover(mat: SurvivalMatrix, size: int, budget: _Budget) -> list
         if len(chosen) == size:
             return None
         slots = size - len(chosen)
+        # Admissible bound: each open slot covers at most max_gain fibers.
+        uncovered = full & ~covered
+        max_gain = 0
+        for j in range(start, n + 1):
+            gain = (survive[j - 1] & uncovered).bit_count()
+            if gain > max_gain:
+                max_gain = gain
+        if slots * max_gain < uncovered.bit_count():
+            return None
         for j in range(start, n + 1):
             if n - j + 1 < slots:
                 return None
