@@ -11,7 +11,8 @@ Subcommands::
     survpath verify --in FILE --paths 1,4,7
 
 Exit codes: 0 success, 2 infeasible instance / unsurvivable selection,
-3 randomized-run failure, 64 usage or input-format error.
+3 randomized-run failure or exhausted exact-search node budget, 64 usage or
+input-format error.
 
 Instances may be ``.spn`` parallel-path files or ``.lnet`` layered networks
 (candidate paths are enumerated, capped by ``--k`` when given).  Seeded
