@@ -6,6 +6,7 @@ import pytest
 
 from survpath import (
     Limits,
+    PreconditionError,
     SurvivalMatrix,
     ValidationError,
     run_experiment,
@@ -205,3 +206,12 @@ def test_budget_exhaustion_yields_dnf_rows():
         cells = line.split(",")
         if cells[0] == "exact" and cells[4] not in ("mean", "std"):
             assert cells[6] == "" and cells[7] == "" and cells[8] == ""
+
+
+def test_negative_node_limit_is_rejected_without_an_exact_solver():
+    # The default MSP grid (greedy, epsnet) never starts an exact search.
+    with pytest.raises(PreconditionError, match="node_limit"):
+        run_experiment(
+            problem="msp", num_paths=6, num_fibers=8, w_values=(2,), trials=1,
+            node_limit=-3,
+        )

@@ -193,6 +193,12 @@ def test_bench_cli_rejects_unknown_algorithm():
         ("solve", "mfsp", "--alg", "exact", "--in", PAIRWISE3),
         ("bench", "--problem", "msp", "--paths", "6", "--fibers", "8",
          "--w-range", "2..2", "--trials", "1", "--algs", "exact"),
+        # The limit is checked before the feasibility check, and by bench
+        # even when its grid runs no exact search.
+        ("solve", "msp", "--alg", "exact", "--in", UNCOVERABLE),
+        ("solve", "mfsp", "--alg", "exact", "--in", UNCOVERABLE),
+        ("bench", "--problem", "msp", "--paths", "6", "--fibers", "8",
+         "--w-range", "2..2", "--trials", "1"),
     ],
 )
 def test_negative_node_limit_exits_64(args):

@@ -220,3 +220,11 @@ def test_negative_node_limit_is_a_precondition_error(pairwise3, solve):
     # A zero budget is valid and is spent by the first node.
     with pytest.raises(SearchBudgetExceeded):
         solve(pairwise3, node_limit=0)
+
+
+@pytest.mark.parametrize("solve", [msp_exact, mfsp_exact])
+def test_negative_node_limit_is_rejected_before_the_feasibility_check(
+    uncoverable, solve
+):
+    with pytest.raises(PreconditionError, match="node_limit"):
+        solve(uncoverable, node_limit=-3)

@@ -111,6 +111,16 @@ def test_exact_solves_a_60_set_cover_embedding_within_100k_nodes():
     assert report.solution.survivable
 
 
+def test_exact_solves_an_80_set_cover_embedding_within_100k_nodes():
+    # The same construction at 80 x 80: a witness search that orders its
+    # branches by id alone needs more than 200k nodes here.
+    mat = gen_from_setcover(80, random_setcover_subsets(Random(1), 80, 0.25))
+    report = msp_exact(mat, node_limit=100_000)
+    assert report.objective == 6
+    assert report.solution.selected == (1, 23, 24, 31, 40, 64)
+    assert report.solution.survivable
+
+
 def test_exact_infeasible(uncoverable):
     with pytest.raises(InfeasibleInstanceError) as exc_info:
         msp_exact(uncoverable)

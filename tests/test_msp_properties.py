@@ -1,4 +1,5 @@
-"""Property test: ``msp_exact`` against the brute-force oracle.
+"""Property tests: ``msp_exact`` and ``mfsp_exact`` against the brute-force
+oracles.
 
 Hypothesis draws small matrices one survived-fiber set per path.  Its sets
 lean small, so most instances are sparse, set-cover-shaped covers that need
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from survpath import InfeasibleInstanceError, SurvivalMatrix, msp_exact
+from survpath import InfeasibleInstanceError, SurvivalMatrix, mfsp_exact, msp_exact
 
-from oracles import brute_msp
+from oracles import brute_mfsp, brute_msp
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -36,5 +37,18 @@ def test_exact_matches_brute_force(mat):
             msp_exact(mat)
         return
     report = msp_exact(mat)
+    assert (report.objective, report.solution.selected) == expected
+    assert report.solution.survivable
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices())
+def test_mfsp_exact_matches_brute_force(mat):
+    expected = brute_mfsp(mat)
+    if expected is None:
+        with pytest.raises(InfeasibleInstanceError):
+            mfsp_exact(mat)
+        return
+    report = mfsp_exact(mat)
     assert (report.objective, report.solution.selected) == expected
     assert report.solution.survivable
