@@ -38,7 +38,7 @@ from .model import (
     SurvivalMatrix,
     ValidationError,
 )
-from .msp import msp_epsnet, msp_exact, msp_greedy
+from .msp import _Budget, msp_epsnet, msp_exact, msp_greedy
 
 __all__ = [
     "BenchRow",
@@ -326,11 +326,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every requested algorithm over ``trials`` fresh instances per W.
 
-    ``algs`` defaults to the problem's :data:`DEFAULT_ALGS` grid.
+    ``algs`` defaults to the problem's :data:`DEFAULT_ALGS` grid.  A negative
+    ``node_limit`` raises :class:`~survpath.model.PreconditionError` even when
+    no algorithm in the grid reads it.
     """
     if algs is None:
         algs = DEFAULT_ALGS.get(problem, ())
     check_algorithms(problem, algs)
+    _Budget(node_limit)
     instances = []
     for w in w_values:
         cfg = RandomEnsembleConfig(

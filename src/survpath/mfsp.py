@@ -270,10 +270,11 @@ def mfsp_exact(
 
     Minimizes the distinct-fiber footprint; among minimum-footprint selections
     prefers the fewest paths, then the lexicographically smallest id tuple.
-    ``node_limit`` (>= 0) caps search nodes
+    ``node_limit`` (>= 0, checked first) caps search nodes
     (:class:`~survpath.model.SearchBudgetExceeded` beyond it).
     """
     clock = _Stopwatch()
+    budget = _Budget(node_limit)
     require_feasible(mat)
     limits = _validated_limits(mat, limits)
     size_bound = _mfsp_size_bound(mat, limits)
@@ -290,7 +291,6 @@ def mfsp_exact(
         len(incumbent_ids),
         incumbent_ids,
     ]
-    budget = _Budget(node_limit)
 
     def descend(selected: list[int], covered: int, union: int, eligible: int) -> None:
         budget.tick()

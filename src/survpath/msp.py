@@ -4,7 +4,8 @@ single-fiber failure.
 This is a set-cover problem over fiber rows: path ``j`` covers the fibers it
 survives.  Three solvers are provided:
 
-* :func:`msp_exact` — branch-and-bound over the bounded subset space.  With a
+* :func:`msp_exact` — one branch-and-bound over the bounded subset space finds
+  the optimal size, then the lex-smallest witness place by place.  With a
   per-path fiber cap K the optimum has at most K+1 paths; with a per-fiber load
   cap W, at most W+1 (any W+1 distinct paths already form a survivable set,
   since a fiber carried by at most W paths cannot be used by all of them).
@@ -176,18 +177,25 @@ def msp_greedy(mat: SurvivalMatrix) -> SolveReport:
 
 
 def _min_cover_size(
-    mat: SurvivalMatrix, bound: int, incumbent: list[int], budget: _Budget
+    mat: SurvivalMatrix,
+    covered: int,
+    eligible: int,
+    best: int,
+    budget: _Budget,
+    floor: int = 0,
 ) -> int:
-    """Branch-and-bound for the minimum survivable-set size.
+    """Fewest further paths from ``eligible`` (a path mask) that cover every
+    fiber ``covered`` leaves open, when that is fewer than ``best``; otherwise
+    ``best``.  The search stops as soon as it reaches ``floor``, a known lower
+    bound on that count.
 
-    Branches on an uncovered fiber with the fewest eligible survivors; each
-    candidate is excluded from later siblings, which partitions the subset space
-    and visits every survivable set at most once.
+    Branch-and-bound that branches on an uncovered fiber with the fewest
+    eligible survivors; each candidate is excluded from later siblings, which
+    partitions the subset space and visits every survivable set at most once.
     """
     full = mat.all_fibers_mask
     survive = mat.survive_masks
     rows = mat.survive_rows
-    best = min(len(incumbent), bound)
 
     def descend(depth: int, covered: int, eligible: int) -> None:
         nonlocal best
@@ -219,63 +227,41 @@ def _min_cover_size(
             siblings &= ~low
             descend(depth + 1, covered | survive[j], siblings)
             branch_row ^= low
-            if depth + 1 >= best:
+            if depth + 1 >= best or best <= floor:
                 return
 
-    descend(0, 0, mat.all_paths_mask)
+    descend(0, covered, eligible)
     return best
 
 
 def _lex_smallest_cover(mat: SurvivalMatrix, size: int, budget: _Budget) -> list[int]:
-    """First survivable set of the given (optimal) size in ascending-id order.
+    """Lexicographically smallest survivable set of the given (optimal) size.
 
-    Depth-first over ascending ids returns the lexicographically smallest
-    witness.  Skipping zero-gain candidates is sound at the optimal size: a
-    minimum cover cannot contain a path contributing no new fiber row.  The
-    max-gain bound only cuts subtrees holding no cover of that size, so it
-    leaves the first witness found unchanged.
+    Fills one place at a time with the smallest remaining id whose prefix an
+    exact :func:`_min_cover_size` search can complete to ``size`` paths from
+    higher ids.  Ids adding no uncovered fiber are skipped: a minimum cover
+    holds no path that adds nothing.
     """
-    full = mat.all_fibers_mask
-    n = mat.num_paths
     survive = mat.survive_masks
-    suffix_cover = [0] * (n + 2)
-    for j in range(n, 0, -1):
-        suffix_cover[j] = suffix_cover[j + 1] | survive[j - 1]
-
-    def extend(start: int, chosen: list[int], covered: int) -> list[int] | None:
-        budget.tick()
-        if covered == full:
-            return list(chosen) if len(chosen) == size else None
-        if len(chosen) == size:
-            return None
-        slots = size - len(chosen)
-        # Admissible bound: each open slot covers at most max_gain fibers.
-        uncovered = full & ~covered
-        max_gain = 0
-        for j in range(start, n + 1):
-            gain = (survive[j - 1] & uncovered).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-        if slots * max_gain < uncovered.bit_count():
-            return None
-        for j in range(start, n + 1):
-            if n - j + 1 < slots:
-                return None
-            gain = survive[j - 1] & ~covered
-            if gain == 0:
-                continue
-            if (covered | suffix_cover[j]) != full:
-                return None
-            found = extend(j + 1, chosen + [j], covered | survive[j - 1])
-            if found is not None:
-                return found
-        return None
-
-    witness = extend(1, [], 0)
-    if witness is None:
-        raise SurvPathError(
-            f"no survivable set of {size} paths, the size the search proved optimal"
-        )
+    covered = 0
+    eligible = mat.all_paths_mask
+    witness = []
+    for left in range(size - 1, -1, -1):
+        while eligible:
+            low = eligible & -eligible
+            eligible ^= low
+            j = low.bit_length() - 1
+            # ``size`` is optimal, so no completion is shorter than ``left``.
+            if survive[j] & ~covered and _min_cover_size(
+                mat, covered | survive[j], eligible, left + 1, budget, left
+            ) == left:
+                break
+        else:
+            raise SurvPathError(
+                f"no survivable set of {size} paths, the size the search proved optimal"
+            )
+        witness.append(j + 1)
+        covered |= survive[j]
     return witness
 
 
@@ -288,19 +274,24 @@ def msp_exact(
     """Optimal MSP via bounded branch-and-bound.
 
     Returns the minimum-cardinality survivable set; among optima, the
-    lexicographically smallest id tuple.  Declared limits must hold for the
-    matrix (raising :class:`~survpath.model.PreconditionError` otherwise) and
-    tighten the search-depth bound to K+1 / W+1.  ``node_limit`` (>= 0) caps
-    search nodes, raising :class:`~survpath.model.SearchBudgetExceeded` beyond it.
+    lexicographically smallest id tuple.  One search, :func:`_min_cover_size`,
+    proves the optimal size, then decides each place of the witness.  Declared
+    limits must hold for the matrix (raising
+    :class:`~survpath.model.PreconditionError` otherwise) and tighten the
+    search-depth bound to K+1 / W+1.  ``node_limit`` (>= 0, checked first) caps
+    search nodes over all runs, raising
+    :class:`~survpath.model.SearchBudgetExceeded` beyond it.
     """
     clock = _Stopwatch()
+    budget = _Budget(node_limit)
     require_feasible(mat)
     limits = _validated_limits(mat, limits)
     bound = _size_bound(mat, limits)
-    budget = _Budget(node_limit)
 
     incumbent, _ = _greedy_selection(mat)
-    best_size = _min_cover_size(mat, bound, incumbent, budget)
+    best_size = _min_cover_size(
+        mat, 0, mat.all_paths_mask, min(len(incumbent), bound), budget
+    )
     witness = _lex_smallest_cover(mat, best_size, budget)
 
     solution = PathSet.from_ids(mat, witness)
