@@ -89,6 +89,17 @@ def test_exact_respects_node_budget():
         mfsp_exact(mat, node_limit=1)
 
 
+def test_exact_does_not_explore_every_tied_optimum():
+    # 300 fiber-disjoint single-fiber paths: any two are optimal, and there
+    # are 44,850 such pairs.  Returning the lex-smallest one must not visit
+    # them all.
+    n = 300
+    mat = SurvivalMatrix.from_fiber_sets(n, [[j] for j in range(1, n + 1)])
+    report = mfsp_exact(mat, node_limit=1_000)
+    assert report.objective == 2
+    assert report.solution.selected == (1, 2)
+
+
 def test_exact_infeasible(uncoverable):
     with pytest.raises(InfeasibleInstanceError):
         mfsp_exact(uncoverable)
