@@ -3,8 +3,9 @@ single-fiber failure while touching the fewest distinct fibers.
 
 Solvers:
 
-* :func:`mfsp_exact` — branch-and-bound over bounded subset space; optimal in
-  (fiber count, then path count, then lexicographic ids).
+* :func:`mfsp_exact` — the MSP branch-and-bound with a fiber weight: each lit
+  fiber costs n+1 and each path 1, so the cost orders selections by fiber
+  count, then path count; the witness is the lex-smallest optimum.
 * :func:`mfsp_acg` / :func:`mfsp_nacg` — amortized-cost greedies.  Each step
   selects the path minimizing cost / newly-survived-fibers, where cost is the
   path's full fiber count (static, ACG) or only the fibers it would newly add
@@ -39,7 +40,15 @@ from .model import (
     _Stopwatch,
     require_feasible,
 )
-from .msp import _branch_row, _Budget, _greedy_selection, _validated_limits, msp_epsnet
+from .msp import (
+    _Budget,
+    _greedy_selection,
+    _lex_smallest_cover,
+    _min_cover_size,
+    _size_bound,
+    _validated_limits,
+    msp_epsnet,
+)
 
 __all__ = [
     "GreedyState",
@@ -251,109 +260,49 @@ def mfsp_rsg(mat: SurvivalMatrix, seed: int = 0) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _mfsp_size_bound(mat: SurvivalMatrix, limits: Limits | None) -> int:
-    """Search-depth bound: some optimal selection is inclusion-minimal, and a
-    minimal survivable set has at most W+1 members under a load cap W (each
-    member privately survives some fiber that all the others then use)."""
-    if limits is not None and limits.max_paths_per_fiber is not None:
-        return limits.max_paths_per_fiber + 1
-    return min(mat.num_fibers, mat.num_paths) + 1
-
-
 def mfsp_exact(
     mat: SurvivalMatrix,
     limits: Limits | None = None,
     *,
     node_limit: int | None = None,
 ) -> SolveReport:
-    """Optimal MFSP via bounded branch-and-bound.
+    """Optimal MFSP via the MSP branch-and-bound with a fiber weight.
 
     Minimizes the distinct-fiber footprint; among minimum-footprint selections
     prefers the fewest paths, then the lexicographically smallest id tuple.
-    ``node_limit`` (>= 0, checked first) caps search nodes
+    Weighting each fiber n+1 and each path 1 encodes that order in one cost,
+    which :func:`~survpath.msp._min_cover_size` proves optimal before
+    :func:`~survpath.msp._lex_smallest_cover` decides each place of the
+    witness.  An optimum is inclusion-minimal, so the K+1 / W+1 bounds of
+    :func:`~survpath.msp.msp_exact` cap its path count too.  ``node_limit``
+    (>= 0, checked first) caps search nodes over both passes
     (:class:`~survpath.model.SearchBudgetExceeded` beyond it).
     """
     clock = _Stopwatch()
     budget = _Budget(node_limit)
     require_feasible(mat)
     limits = _validated_limits(mat, limits)
-    size_bound = _mfsp_size_bound(mat, limits)
+    size_bound = _size_bound(mat, limits)
 
-    full = mat.all_fibers_mask
-    survive = mat.survive_masks
-    used = mat.used_masks
-    rows = mat.survive_rows
+    weight = mat.num_paths + 1
+    cost = _min_cover_size(
+        mat, 0, mat.all_paths_mask, mat.num_fibers * weight + size_bound + 1, budget,
+        0, 0, weight,
+    )
+    witness = _lex_smallest_cover(mat, cost, budget, weight)
 
-    seed_report = mfsp_nacg(mat)
-    incumbent_ids = tuple(sorted(seed_report.solution.selected))
-    best = [
-        seed_report.solution.num_fibers_used,
-        len(incumbent_ids),
-        incumbent_ids,
-    ]
-
-    def descend(selected: list[int], covered: int, union: int, eligible: int) -> None:
-        budget.tick()
-        fibers_now = union.bit_count()
-        if covered == full:
-            candidate = (fibers_now, len(selected), tuple(sorted(selected)))
-            if candidate < tuple(best):
-                best[0], best[1], best[2] = candidate
-            return
-        if fibers_now > best[0]:
-            return
-        if len(selected) >= size_bound:
-            return
-        if fibers_now == best[0] and len(selected) + 1 > best[1]:
-            return
-        uncovered = full & ~covered
-        branch_row = _branch_row(rows, uncovered, eligible)
-        if not branch_row:
-            return
-        # Admissible bound: any extension adds at least the cheapest helpful
-        # candidate's new fibers.
-        min_new = None
-        probe = eligible
-        while probe:
-            low = probe & -probe
-            jz = low.bit_length() - 1
-            if survive[jz] & uncovered:
-                new = (used[jz] & ~union).bit_count()
-                if min_new is None or new < min_new:
-                    min_new = new
-            probe ^= low
-        if min_new is None or fibers_now + min_new > best[0]:
-            return
-        candidates = []
-        probe = branch_row
-        while probe:
-            low = probe & -probe
-            jz = low.bit_length() - 1
-            candidates.append(((used[jz] & ~union).bit_count(), jz + 1))
-            probe ^= low
-        candidates.sort()
-        siblings = eligible
-        for _, j in candidates:
-            siblings &= ~(1 << (j - 1))
-            descend(
-                selected + [j],
-                covered | survive[j - 1],
-                union | used[j - 1],
-                siblings,
-            )
-
-    descend([], 0, 0, mat.all_paths_mask)
-
-    solution = PathSet.from_ids(mat, best[2])
-    if not solution.survivable or solution.num_fibers_used != best[0]:
+    fibers, paths = divmod(cost, weight)
+    solution = PathSet.from_ids(mat, witness)
+    if not solution.survivable or (solution.num_fibers_used, solution.size) != (fibers, paths):
         raise SurvPathError(
-            f"exact witness {list(best[2])} is not a survivable set on {best[0]} fibers"
+            f"exact witness {witness} is not a survivable set of {paths} paths "
+            f"on {fibers} fibers"
         )
     return SolveReport(
         algorithm="mfsp_exact",
         problem="mfsp",
         solution=solution,
-        objective=best[0],
+        objective=fibers,
         iterations=budget.nodes,
         seed=None,
         elapsed=clock.elapsed(),

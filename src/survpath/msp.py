@@ -9,6 +9,9 @@ survives.  Three solvers are provided:
   per-path fiber cap K the optimum has at most K+1 paths; with a per-fiber load
   cap W, at most W+1 (any W+1 distinct paths already form a survivable set,
   since a fiber carried by at most W paths cannot be used by all of them).
+  The same search, :func:`_min_cover_size`, is MFSP's exact solver too: it
+  minimizes a weighted cost, one per path plus ``fiber_weight`` per fiber of
+  the footprint, and weight 0 is MSP.
 * :func:`msp_greedy` — max-coverage greedy, ties to the smallest path id.
 * :func:`msp_epsnet` — multiplicative-weight epsilon-net sampling: when the
   optimum has g paths, a random sample hitting every (1/2g)-heavy fiber row is
@@ -48,7 +51,8 @@ __all__ = ["EpsNetState", "msp_exact", "msp_greedy", "msp_epsnet"]
 
 
 def _size_bound(mat: SurvivalMatrix, limits: Limits | None) -> int:
-    """Upper bound on the optimum's cardinality (and hence the search depth)."""
+    """Upper bound on the path count of an inclusion-minimal survivable set,
+    and so of an MSP or MFSP optimum."""
     bound = min(mat.num_fibers, mat.num_paths) + 1
     if limits is not None:
         if limits.max_fibers_per_path is not None:
@@ -183,11 +187,18 @@ def _min_cover_size(
     best: int,
     budget: _Budget,
     floor: int = 0,
+    union: int = 0,
+    fiber_weight: int = 0,
 ) -> int:
-    """Fewest further paths from ``eligible`` (a path mask) that cover every
-    fiber ``covered`` leaves open, when that is fewer than ``best``; otherwise
-    ``best``.  The search stops as soon as it reaches ``floor``, a known lower
-    bound on that count.
+    """Least further cost of covering every fiber ``covered`` leaves open with
+    paths from ``eligible`` (a path mask), when that is below ``best``;
+    otherwise ``best``.  The search stops as soon as it reaches ``floor``, a
+    known lower bound on that cost.
+
+    Each further path costs 1, and each fiber it adds to the footprint
+    ``union`` costs ``fiber_weight``.  Weight 0 counts paths (MSP); weight
+    n+1 orders by fibers, then paths (MFSP), since no selection holds more than
+    n paths.
 
     Branch-and-bound that branches on an uncovered fiber with the fewest
     eligible survivors; each candidate is excluded from later siblings, which
@@ -195,20 +206,36 @@ def _min_cover_size(
     """
     full = mat.all_fibers_mask
     survive = mat.survive_masks
+    used = mat.used_masks
     rows = mat.survive_rows
 
-    def descend(depth: int, covered: int, eligible: int) -> None:
+    def descend(cost: int, covered: int, union: int, eligible: int) -> None:
         nonlocal best
         budget.tick()
         if covered == full:
-            best = min(best, depth)
+            best = min(best, cost)
             return
-        if depth + 1 >= best:
+        if cost + 1 >= best:
             return
         uncovered = full & ~covered
         branch_row = _branch_row(rows, uncovered, eligible)
         if not branch_row:
             return
+        bound = cost
+        if fiber_weight:
+            # Every completion takes a survivor of the branch fiber, so it
+            # adds at least the fewest new fibers among them.
+            min_new = mat.num_fibers
+            probe = branch_row
+            while probe:
+                low = probe & -probe
+                new = (used[low.bit_length() - 1] & ~union).bit_count()
+                if new < min_new:
+                    min_new = new
+                probe ^= low
+            bound += fiber_weight * min_new
+            if bound + 1 >= best:
+                return
         # Admissible bound: each further path covers at most max_gain fibers.
         max_gain = 0
         probe = eligible
@@ -218,50 +245,68 @@ def _min_cover_size(
             if gain > max_gain:
                 max_gain = gain
             probe ^= low
-        if max_gain == 0 or depth + -(-uncovered.bit_count() // max_gain) >= best:
+        if max_gain == 0 or bound + -(-uncovered.bit_count() // max_gain) >= best:
             return
         siblings = eligible
         while branch_row:
             low = branch_row & -branch_row
             j = low.bit_length() - 1
             siblings &= ~low
-            descend(depth + 1, covered | survive[j], siblings)
             branch_row ^= low
-            if depth + 1 >= best or best <= floor:
+            if not fiber_weight:
+                descend(cost + 1, covered | survive[j], union, siblings)
+            else:
+                new = used[j] & ~union
+                child = cost + 1 + fiber_weight * new.bit_count()
+                # A child no cheaper than ``best`` is pruned before it is visited.
+                if child < best:
+                    descend(child, covered | survive[j], union | new, siblings)
+            if cost + 1 >= best or best <= floor:
                 return
 
-    descend(0, covered, eligible)
+    descend(0, covered, union, eligible)
     return best
 
 
-def _lex_smallest_cover(mat: SurvivalMatrix, size: int, budget: _Budget) -> list[int]:
-    """Lexicographically smallest survivable set of the given (optimal) size.
+def _lex_smallest_cover(
+    mat: SurvivalMatrix, cost: int, budget: _Budget, fiber_weight: int = 0
+) -> list[int]:
+    """Lexicographically smallest survivable set of the given (optimal) cost,
+    counted as in :func:`_min_cover_size`.
 
     Fills one place at a time with the smallest remaining id whose prefix an
-    exact :func:`_min_cover_size` search can complete to ``size`` paths from
-    higher ids.  Ids adding no uncovered fiber are skipped: a minimum cover
-    holds no path that adds nothing.
+    exact :func:`_min_cover_size` search can complete to ``cost`` from higher
+    ids.  Ids adding no uncovered fiber are skipped: an optimum is
+    inclusion-minimal, so each of its paths adds a fiber.
     """
+    full = mat.all_fibers_mask
     survive = mat.survive_masks
-    covered = 0
+    used = mat.used_masks
+    covered = union = spent = 0
     eligible = mat.all_paths_mask
     witness = []
-    for left in range(size - 1, -1, -1):
+    while covered != full:
         while eligible:
             low = eligible & -eligible
             eligible ^= low
             j = low.bit_length() - 1
-            # ``size`` is optimal, so no completion is shorter than ``left``.
-            if survive[j] & ~covered and _min_cover_size(
-                mat, covered | survive[j], eligible, left + 1, budget, left
+            new = used[j] & ~union
+            left = cost - spent - 1 - fiber_weight * new.bit_count()
+            # ``cost`` is optimal, so no completion costs less than ``left``.
+            if survive[j] & ~covered and left >= 0 and _min_cover_size(
+                mat, covered | survive[j], eligible, left + 1, budget, left,
+                union | new, fiber_weight,
             ) == left:
                 break
         else:
-            raise SurvPathError(
-                f"no survivable set of {size} paths, the size the search proved optimal"
-            )
+            what = f"{cost} paths"
+            if fiber_weight:
+                what = f"{cost % fiber_weight} paths on {cost // fiber_weight} fibers"
+            raise SurvPathError(f"no survivable set of {what}, the cost the search proved optimal")
         witness.append(j + 1)
         covered |= survive[j]
+        union |= new
+        spent = cost - left
     return witness
 
 

@@ -23,7 +23,6 @@ from survpath import (
     LayeredNetwork,
     LightpathRouting,
     LogicalTopology,
-    PathSet,
     PhysicalTopology,
     PreconditionError,
     SearchBudgetExceeded,
@@ -55,13 +54,16 @@ def test_msp_exact_rejects_an_unsurvivable_witness(pairwise3, monkeypatch):
         msp_exact(pairwise3)
 
 
+def test_mfsp_exact_rejects_a_cost_with_no_witness(pairwise3, monkeypatch):
+    # pairwise3 needs all three paths on its three fibers; claim that two
+    # paths on three fibers suffice (fibers weigh n + 1 = 4).
+    monkeypatch.setattr(survpath.mfsp, "_min_cover_size", lambda *args: 3 * 4 + 2)
+    with pytest.raises(SurvPathError, match="no survivable set of 2 paths on 3 fibers"):
+        mfsp_exact(pairwise3)
+
+
 def test_mfsp_exact_rejects_an_unsurvivable_witness(pairwise3, monkeypatch):
-    # An unsurvivable incumbent on two fibers undercuts every real selection
-    # (all need three), so the search keeps it as its witness.
-    bad = replace(
-        survpath.mfsp.mfsp_nacg(pairwise3), solution=PathSet.from_ids(pairwise3, [1])
-    )
-    monkeypatch.setattr(survpath.mfsp, "mfsp_nacg", lambda mat: bad)
+    monkeypatch.setattr(survpath.mfsp, "_lex_smallest_cover", lambda *args: [1])
     with pytest.raises(SurvPathError, match=r"witness \[1\] is not a survivable"):
         mfsp_exact(pairwise3)
 

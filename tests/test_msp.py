@@ -14,6 +14,7 @@ from survpath import (
     SurvivalMatrix,
     gen_from_setcover,
     gen_random_parallel,
+    mfsp_exact,
     msp_epsnet,
     msp_exact,
     msp_greedy,
@@ -92,6 +93,19 @@ def test_exact_reports_search_size_bound(pairwise3):
     # min(m, n) + 1 = 4 here; no declared limits.
     assert report.extra["size_bound"] == 4
     assert report.iterations >= 1
+
+
+@pytest.mark.parametrize("solve", [msp_exact, mfsp_exact])
+def test_exact_reaches_the_k_plus_one_bound(solve):
+    # Path i survives only fiber i, so it uses the other m - 1 = K fibers, and
+    # the one survivable set is all m = K + 1 paths: the bound is exact here.
+    m = 6
+    mat = SurvivalMatrix.from_fiber_sets(
+        m, [[f for f in range(1, m + 1) if f != i] for i in range(1, m + 1)]
+    )
+    report = solve(mat, Limits(max_fibers_per_path=m - 1))
+    assert report.extra["size_bound"] == m
+    assert report.solution.selected == tuple(range(1, m + 1))
 
 
 def test_exact_respects_node_budget():

@@ -1,6 +1,10 @@
 """Property tests: ``msp_exact`` and ``mfsp_exact`` against the brute-force
 oracles.
 
+Each example is solved either with no declared limits or under the tightest
+caps the matrix meets, K = max path cost and W = max fiber load (at least 1
+each), where the K+1 / W+1 size bound is the search's starting bound.
+
 Hypothesis draws small matrices one survived-fiber set per path.  Its sets
 lean small, so most instances are sparse, set-cover-shaped covers that need
 several paths, which is where the exact search prunes hardest.  Hypothesis is
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from survpath import InfeasibleInstanceError, SurvivalMatrix, mfsp_exact, msp_exact
+from survpath import InfeasibleInstanceError, Limits, SurvivalMatrix, mfsp_exact, msp_exact
 
 from oracles import brute_mfsp, brute_msp
 
@@ -28,27 +32,33 @@ def matrices(draw) -> SurvivalMatrix:
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(matrices())
-def test_exact_matches_brute_force(mat):
+def tight_limits(mat: SurvivalMatrix) -> Limits:
+    return Limits(max(mat.max_path_cost(), 1), max(mat.max_fiber_load(), 1))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(matrices(), st.booleans())
+def test_exact_matches_brute_force(mat, tight):
+    limits = tight_limits(mat) if tight else None
     expected = brute_msp(mat)
     if expected is None:
         with pytest.raises(InfeasibleInstanceError):
-            msp_exact(mat)
+            msp_exact(mat, limits)
         return
-    report = msp_exact(mat)
+    report = msp_exact(mat, limits)
     assert (report.objective, report.solution.selected) == expected
     assert report.solution.survivable
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(matrices())
-def test_mfsp_exact_matches_brute_force(mat):
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(matrices(), st.booleans())
+def test_mfsp_exact_matches_brute_force(mat, tight):
+    limits = tight_limits(mat) if tight else None
     expected = brute_mfsp(mat)
     if expected is None:
         with pytest.raises(InfeasibleInstanceError):
-            mfsp_exact(mat)
+            mfsp_exact(mat, limits)
         return
-    report = mfsp_exact(mat)
+    report = mfsp_exact(mat, limits)
     assert (report.objective, report.solution.selected) == expected
     assert report.solution.survivable
