@@ -236,7 +236,9 @@ def _min_cover_size(
             bound += fiber_weight * min_new
             if bound + 1 >= best:
                 return
-        # Admissible bound: each further path covers at most max_gain fibers.
+        # Admissible bound: each further path covers at most max_gain of the
+        # open fibers, so the search stops early at a path that covers them all.
+        open_count = uncovered.bit_count()
         max_gain = 0
         probe = eligible
         while probe:
@@ -244,8 +246,10 @@ def _min_cover_size(
             gain = (survive[low.bit_length() - 1] & uncovered).bit_count()
             if gain > max_gain:
                 max_gain = gain
+                if gain == open_count:
+                    break
             probe ^= low
-        if max_gain == 0 or bound + -(-uncovered.bit_count() // max_gain) >= best:
+        if max_gain == 0 or bound + -(-open_count // max_gain) >= best:
             return
         siblings = eligible
         while branch_row:
@@ -290,10 +294,12 @@ def _lex_smallest_cover(
             low = eligible & -eligible
             eligible ^= low
             j = low.bit_length() - 1
+            if not survive[j] & ~covered:
+                continue
             new = used[j] & ~union
             left = cost - spent - 1 - fiber_weight * new.bit_count()
             # ``cost`` is optimal, so no completion costs less than ``left``.
-            if survive[j] & ~covered and left >= 0 and _min_cover_size(
+            if left >= 0 and _min_cover_size(
                 mat, covered | survive[j], eligible, left + 1, budget, left,
                 union | new, fiber_weight,
             ) == left:
