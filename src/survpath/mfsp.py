@@ -266,16 +266,13 @@ def mfsp_exact(
     *,
     node_limit: int | None = None,
 ) -> SolveReport:
-    """Optimal MFSP via the MSP branch-and-bound with a fiber weight.
+    """Optimal MFSP: the MSP search of :mod:`survpath.msp` with each lit fiber
+    weighted n+1 and each path 1.
 
     Minimizes the distinct-fiber footprint; among minimum-footprint selections
     prefers the fewest paths, then the lexicographically smallest id tuple.
-    Weighting each fiber n+1 and each path 1 encodes that order in one cost,
-    which :func:`~survpath.msp._min_cover_size` proves optimal before
-    :func:`~survpath.msp._lex_smallest_cover` decides each place of the
-    witness.  An optimum is inclusion-minimal, so the K+1 / W+1 bounds of
-    :func:`~survpath.msp.msp_exact` cap its path count too.  ``node_limit``
-    (>= 0, checked first) caps search nodes over both passes
+    An optimum is inclusion-minimal, so MSP's K+1 / W+1 size bounds hold.
+    ``node_limit`` (>= 0, checked first) caps search nodes over both passes
     (:class:`~survpath.model.SearchBudgetExceeded` beyond it).
     """
     clock = _Stopwatch()

@@ -9,9 +9,7 @@ survives.  Three solvers are provided:
   per-path fiber cap K the optimum has at most K+1 paths; with a per-fiber load
   cap W, at most W+1 (any W+1 distinct paths already form a survivable set,
   since a fiber carried by at most W paths cannot be used by all of them).
-  The same search, :func:`_min_cover_size`, is MFSP's exact solver too: it
-  minimizes a weighted cost, one per path plus ``fiber_weight`` per fiber of
-  the footprint, and weight 0 is MSP.
+  MFSP's exact solver runs the same search with a fiber weight.
 * :func:`msp_greedy` — max-coverage greedy, ties to the smallest path id.
 * :func:`msp_epsnet` — multiplicative-weight epsilon-net sampling: when the
   optimum has g paths, a random sample hitting every (1/2g)-heavy fiber row is
@@ -26,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import (
     Limits,
@@ -83,25 +81,6 @@ class _Budget:
         self.nodes += 1
         if self.nodes > self.limit:
             raise SearchBudgetExceeded(self.nodes)
-
-
-def _branch_row(rows: Sequence[int], uncovered: int, eligible: int) -> int:
-    """Eligible survivors (as a path mask) of the uncovered fiber with the
-    fewest of them, ties to the lowest fiber; 0 when some uncovered fiber has
-    none, so the node is a dead end."""
-    best_row = 0
-    best_count = eligible.bit_count() + 1
-    while uncovered:
-        low = uncovered & -uncovered
-        row = rows[low.bit_length() - 1] & eligible
-        count = row.bit_count()
-        if count < best_count:
-            if count == 0:
-                return 0
-            best_count = count
-            best_row = row
-        uncovered ^= low
-    return best_row
 
 
 def effective_fiber_cap(mat: SurvivalMatrix, limits: Limits | None) -> int:
@@ -201,7 +180,8 @@ def _min_cover_size(
     n paths.
 
     Branch-and-bound that branches on an uncovered fiber with the fewest
-    eligible survivors; each candidate is excluded from later siblings, which
+    eligible survivors (ties to the lowest fiber); each candidate is excluded
+    from later siblings, which
     partitions the subset space and visits every survivable set at most once.
     """
     full = mat.all_fibers_mask
@@ -218,9 +198,20 @@ def _min_cover_size(
         if cost + 1 >= best:
             return
         uncovered = full & ~covered
-        branch_row = _branch_row(rows, uncovered, eligible)
-        if not branch_row:
-            return
+        # An uncovered fiber with no eligible survivor makes this a dead end.
+        branch_row = 0
+        fewest = eligible.bit_count() + 1
+        probe = uncovered
+        while probe:
+            low = probe & -probe
+            row = rows[low.bit_length() - 1] & eligible
+            count = row.bit_count()
+            if count < fewest:
+                if not count:
+                    return
+                fewest = count
+                branch_row = row
+            probe ^= low
         bound = cost
         if fiber_weight:
             # Every completion takes a survivor of the branch fiber, so it
@@ -237,7 +228,7 @@ def _min_cover_size(
             if bound + 1 >= best:
                 return
         # Admissible bound: each further path covers at most max_gain of the
-        # open fibers, so the search stops early at a path that covers them all.
+        # open fibers; no path covers more than all of them, so stop there.
         open_count = uncovered.bit_count()
         max_gain = 0
         probe = eligible
@@ -258,6 +249,7 @@ def _min_cover_size(
             siblings &= ~low
             branch_row ^= low
             if not fiber_weight:
+                # cost + 1 < best holds here, so no MSP child is pruned early.
                 descend(cost + 1, covered | survive[j], union, siblings)
             else:
                 new = used[j] & ~union
