@@ -181,8 +181,8 @@ def _min_cover_size(
 
     Branch-and-bound that branches on an uncovered fiber with the fewest
     eligible survivors (ties to the lowest fiber); each candidate is excluded
-    from later siblings, which
-    partitions the subset space and visits every survivable set at most once.
+    from later siblings, which partitions the subset space and visits every
+    survivable set at most once.
     """
     full = mat.all_fibers_mask
     survive = mat.survive_masks
@@ -227,20 +227,18 @@ def _min_cover_size(
             bound += fiber_weight * min_new
             if bound + 1 >= best:
                 return
-        # Admissible bound: each further path covers at most max_gain of the
-        # open fibers; no path covers more than all of them, so stop there.
-        open_count = uncovered.bit_count()
-        max_gain = 0
+        # Admissible bound: with each further path covering at most max_gain
+        # open fibers, the node is pruned when bound + ceil(open / max_gain)
+        # >= best, that is, unless some eligible path covers at least
+        # ``enough`` of them.  The probe stops at the first that does.
+        enough = -(-uncovered.bit_count() // (best - bound - 1))
         probe = eligible
         while probe:
             low = probe & -probe
-            gain = (survive[low.bit_length() - 1] & uncovered).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-                if gain == open_count:
-                    break
+            if (survive[low.bit_length() - 1] & uncovered).bit_count() >= enough:
+                break
             probe ^= low
-        if max_gain == 0 or bound + -(-open_count // max_gain) >= best:
+        else:
             return
         siblings = eligible
         while branch_row:
@@ -248,15 +246,11 @@ def _min_cover_size(
             j = low.bit_length() - 1
             siblings &= ~low
             branch_row ^= low
-            if not fiber_weight:
-                # cost + 1 < best holds here, so no MSP child is pruned early.
-                descend(cost + 1, covered | survive[j], union, siblings)
-            else:
-                new = used[j] & ~union
-                child = cost + 1 + fiber_weight * new.bit_count()
-                # A child no cheaper than ``best`` is pruned before it is visited.
-                if child < best:
-                    descend(child, covered | survive[j], union | new, siblings)
+            new = used[j] & ~union
+            child = cost + 1 + fiber_weight * new.bit_count()
+            # A child no cheaper than ``best`` is pruned before it is visited.
+            if child < best:
+                descend(child, covered | survive[j], union | new, siblings)
             if cost + 1 >= best or best <= floor:
                 return
 
