@@ -171,7 +171,8 @@ def read_spn(source) -> ParallelInstance:
         else:
             break
 
-    fiber_sets: list[tuple[int, frozenset[int]]] = []
+    # (path id, fiber set, the same set as a mask), one per path line.
+    fiber_sets: list[tuple[int, frozenset[int], int]] = []
     while not lines.done():
         lineno, text = lines.next("'path <id>: ...' line")
         head, sep, tail = text.partition(":")
@@ -180,6 +181,7 @@ def read_spn(source) -> ParallelInstance:
             raise lines.error(lineno, f"expected 'path <id>: f...' line, got {text!r}")
         pid = _int_field(lines, lineno, parts[1], "path id")
         fibers = set()
+        mask = 0
         for token in tail.split():
             if not token.startswith("f"):
                 raise lines.error(lineno, f"expected fiber token like 'f3', got {token!r}")
@@ -189,10 +191,11 @@ def read_spn(source) -> ParallelInstance:
             if fid in fibers:
                 raise lines.error(lineno, f"duplicate fiber f{fid} on path {pid}")
             fibers.add(fid)
-        fiber_sets.append((pid, frozenset(fibers)))
+            mask |= 1 << (fid - 1)
+        fiber_sets.append((pid, frozenset(fibers), mask))
 
     fiber_sets.sort()
-    ids = [pid for pid, _ in fiber_sets]
+    ids = [pid for pid, _, _ in fiber_sets]
     if ids != list(range(1, len(ids) + 1)):
         raise ValidationError(
             f"{lines.name}: path ids must be exactly 1..{len(ids)} with no duplicates"
@@ -209,7 +212,7 @@ def read_spn(source) -> ParallelInstance:
             f"{w_cap * num_fibers} implied by the declared load cap"
         )
     if k_cap is not None:
-        for pid, fibers in fiber_sets:
+        for pid, fibers, _ in fiber_sets:
             if len(fibers) > k_cap:
                 raise ValidationError(
                     f"{lines.name}: path {pid} uses {len(fibers)} fibers, above the "
@@ -217,7 +220,7 @@ def read_spn(source) -> ParallelInstance:
                 )
     if w_cap is not None:
         load = [0] * (num_fibers + 1)
-        for _, fibers in fiber_sets:
+        for _, fibers, _ in fiber_sets:
             for f in fibers:
                 load[f] += 1
         for f in range(1, num_fibers + 1):
@@ -228,8 +231,8 @@ def read_spn(source) -> ParallelInstance:
                 )
 
     paths = tuple(
-        LogicalPath(path_id=pid, links=(pid,), fibers_used=fibers)
-        for pid, fibers in fiber_sets
+        LogicalPath(path_id=pid, links=(pid,), fibers_used=fibers, used_mask=mask)
+        for pid, fibers, mask in fiber_sets
     )
     catalog = PathCatalog(paths=paths, limits=limits, complete=False)
     return ParallelInstance(num_fibers=num_fibers, catalog=catalog)
@@ -255,7 +258,10 @@ def write_spn(instance: ParallelInstance, target) -> None:
 def matrix_to_instance(mat: SurvivalMatrix, limits: Limits = Limits()) -> ParallelInstance:
     """Wrap a survival matrix as a parallel instance (for saving to ``.spn``)."""
     paths = tuple(
-        LogicalPath(path_id=j, links=(j,), fibers_used=mat.path_fibers(j))
+        LogicalPath(
+            path_id=j, links=(j,), fibers_used=mat.path_fibers(j),
+            used_mask=mat.used_masks[j - 1],
+        )
         for j in range(1, mat.num_paths + 1)
     )
     catalog = PathCatalog(paths=paths, limits=limits, complete=False)

@@ -252,15 +252,35 @@ class LogicalPath:
     ``links`` is the ordered logical-link sequence; ``fibers_used`` is the union
     of the routed fibers of those links.  ``cost`` is the number of distinct
     fibers the path depends on.
+
+    ``used_mask`` is ``fibers_used`` as a bitmask, bit ``i-1`` for fiber ``i``
+    (the encoding of :attr:`SurvivalMatrix.used_masks`).  It is derived when
+    not given; a producer that already holds the mask passes it, and then only
+    its sign and popcount are checked against ``fibers_used``.
     """
 
     path_id: int
     links: tuple[int, ...]
     fibers_used: frozenset[int]
+    used_mask: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.path_id < 1:
             raise ValidationError("path ids are 1-based")
+        if self.used_mask is None:
+            lowest = min(self.fibers_used, default=1)
+            if lowest < 1:
+                raise ValidationError(
+                    f"path {self.path_id} uses fiber {lowest}; fiber ids are 1-based"
+                )
+            object.__setattr__(
+                self, "used_mask", sum(1 << (f - 1) for f in self.fibers_used)
+            )
+        elif self.used_mask < 0 or self.used_mask.bit_count() != len(self.fibers_used):
+            raise ValidationError(
+                f"path {self.path_id}: used_mask does not encode its "
+                f"{len(self.fibers_used)} fibers"
+            )
 
     @property
     def cost(self) -> int:

@@ -45,13 +45,13 @@ class PathCatalog:
     complete: bool
 
     def __post_init__(self) -> None:
+        k = self.limits.max_fibers_per_path
         seen_links: set[tuple[int, ...]] = set()
         for pos, path in enumerate(self.paths, start=1):
             if path.path_id != pos:
                 raise ValidationError(
                     f"catalog path ids must be dense: position {pos} holds id {path.path_id}"
                 )
-            k = self.limits.max_fibers_per_path
             if k is not None and path.cost > k:
                 raise ValidationError(
                     f"path {path.path_id} uses {path.cost} fibers, above the cap {k}"
@@ -69,17 +69,25 @@ class PathCatalog:
         return [p.fibers_used for p in self.paths]
 
     def matrix(self, num_fibers: int) -> SurvivalMatrix:
-        """Expand the catalog into a survival matrix over ``num_fibers`` fibers."""
-        return SurvivalMatrix.from_fiber_sets(num_fibers, self.fiber_sets())
+        """Expand the catalog into a survival matrix over ``num_fibers`` fibers.
+
+        The paths' own fiber masks go to the constructor as they are, and its
+        range check rejects a fiber above ``num_fibers``.
+        """
+        return SurvivalMatrix(
+            num_fibers, len(self.paths), tuple(p.used_mask for p in self.paths)
+        )
 
 
 def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
     """All simple s-t paths of the logical layer, fiber footprint <= cap.
 
-    Neighbors are explored in ascending link-id order, so the output is sorted
-    by link-sequence lexicographic order, which fixes path ids deterministically.
-    Pruning is sound because a simple path's fiber union only grows along a
-    partial path.
+    Neighbors are explored in ascending link-id order, so the walk meets the
+    paths in link-sequence lexicographic order (no path is a prefix of another:
+    each ends at its first visit to the sink), which fixes path ids
+    deterministically.  Pruning is sound because a simple path's fiber union
+    only grows along a partial path.  Each path keeps the fiber mask that the
+    walk built for it.
     """
     adjacency: dict[str, list[tuple[int, str]]] = {n: [] for n in net.logical.nodes}
     for k, (u, v) in enumerate(net.logical.links, start=1):
@@ -98,6 +106,7 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
         link_fibers.append(sum(1 << (f - 1) for f in link_sets[-1]))
 
     found: list[tuple[int, ...]] = []
+    masks: list[int] = []  # masks[i] is the fiber mask of found[i]
     # Depth-first with an explicit stack (a path may be longer than the
     # recursion limit): one frame per node of the partial path, holding the
     # node, the fiber union up to it and its neighbours still to try.  The
@@ -115,6 +124,7 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
                 continue
             if nxt == sink:
                 found.append((*prefix, k))
+                masks.append(merged)
                 continue
             visited.add(nxt)
             prefix.append(k)
@@ -125,10 +135,9 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
             visited.remove(node)
             if stack:
                 prefix.pop()
-    found.sort()
 
     paths = []
-    for pos, links in enumerate(found, start=1):
+    for pos, (links, mask) in enumerate(zip(found, masks), start=1):
         # Grown in a set and frozen once, as fibers_of_links does.  A frozenset
         # built straight from a union or from fiber ids gets other table sizes,
         # which raised peak RSS on layered-network job lists by up to 12%
@@ -136,7 +145,8 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
         fibers: set[int] = set()
         for k in links:
             fibers |= link_sets[k]
-        paths.append(LogicalPath(path_id=pos, links=links, fibers_used=frozenset(fibers)))
+        # Positional: keyword arguments cost about a fifth of the constructor.
+        paths.append(LogicalPath(pos, links, frozenset(fibers), mask))
     return paths
 
 
@@ -153,7 +163,7 @@ def enumerate_paths_k_restricted(net: LayeredNetwork, max_fibers: int) -> PathCa
     paths = _enumerate(net, max_fibers)
     bound = max(net.num_fibers, 1) ** max_fibers
     if len(paths) > bound:
-        footprints = len({p.fibers_used for p in paths})
+        footprints = len({p.used_mask for p in paths})
         if footprints > bound:
             raise SurvPathError(
                 f"enumeration found {footprints} distinct fiber sets, above "

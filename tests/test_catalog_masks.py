@@ -3,13 +3,15 @@
 ``PathCatalog.matrix`` and ``ParallelInstance.matrix`` must give the matrix
 that ``SurvivalMatrix.from_fiber_sets`` builds from the catalog's fiber sets,
 and must reject the fiber ids that constructor rejects: a fiber above m, or a
-fiber id below 1.
+fiber id below 1.  They build it from each path's ``used_mask``, so every
+producer's masks are checked here against the paths' fiber sets.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import replace
+from random import Random
 
 import pytest
 
@@ -19,12 +21,16 @@ from survpath import (
     PathCatalog,
     SurvivalMatrix,
     ValidationError,
+    enumerate_paths_k_restricted,
+    enumerate_paths_unrestricted,
     matrix_to_instance,
     packaged_instance,
     read_spn,
     write_spn,
 )
 from survpath.instances import RandomEnsembleConfig, gen_random_parallel
+
+from test_matrix_derived import random_layered
 
 PACKAGED = ("pairwise3.spn", "uncoverable.spn", "nonadditive.spn")
 
@@ -81,3 +87,60 @@ def test_written_spn_matrix_matches_its_fiber_sets():
         assert inst.matrix() == mat
         checked += mat.num_paths
     assert checked > 100
+
+
+def _mask_of(fibers) -> int:
+    return sum(1 << (f - 1) for f in fibers)
+
+
+def test_every_producer_hands_out_the_mask_of_its_fiber_set():
+    rng = Random(20261018)
+    checked = 0
+    for _ in range(60):
+        net = random_layered(rng)
+        m = net.num_fibers
+        enumerated = [
+            enumerate_paths_unrestricted(net),
+            enumerate_paths_k_restricted(net, rng.randint(1, 4)),
+        ]
+        catalogs = list(enumerated)
+        for catalog in enumerated:
+            # The walk meets the paths in the order their ids follow.
+            links = [p.links for p in catalog.paths]
+            assert links == sorted(links)
+            inst = matrix_to_instance(catalog.matrix(m))
+            buffer = io.StringIO()
+            write_spn(inst, buffer)
+            catalogs += [inst.catalog, read_spn(io.StringIO(buffer.getvalue())).catalog]
+        for catalog in catalogs:
+            for path in catalog.paths:
+                assert path.used_mask == _mask_of(path.fibers_used)
+                checked += 1
+    assert checked > 400
+
+
+def test_a_passed_mask_does_not_change_equality_or_hash():
+    derived = LogicalPath(path_id=2, links=(1, 4), fibers_used=frozenset({1, 3}))
+    passed = LogicalPath(
+        path_id=2, links=(1, 4), fibers_used=frozenset({1, 3}), used_mask=0b101
+    )
+    assert derived.used_mask == passed.used_mask == 0b101
+    assert derived == passed
+    assert hash(derived) == hash(passed)
+    assert repr(derived) == repr(passed)
+    assert LogicalPath(path_id=1, links=(1,), fibers_used=frozenset()).used_mask == 0
+
+
+@pytest.mark.parametrize(
+    ("fibers", "mask", "message"),
+    [
+        ({0, 2}, None, "uses fiber 0; fiber ids are 1-based"),
+        ({-3}, None, "uses fiber -3; fiber ids are 1-based"),
+        ({1, 2}, -4, "used_mask does not encode its 2 fibers"),
+        ({1, 2}, 0b1, "used_mask does not encode its 2 fibers"),
+        (set(), 0b1000, "used_mask does not encode its 0 fibers"),
+    ],
+)
+def test_a_bad_fiber_id_or_mask_raises(fibers, mask, message):
+    with pytest.raises(ValidationError, match=message):
+        LogicalPath(path_id=1, links=(1,), fibers_used=frozenset(fibers), used_mask=mask)
