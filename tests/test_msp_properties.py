@@ -5,10 +5,13 @@ Each example is solved either with no declared limits or under the tightest
 caps the matrix meets, K = max path cost and W = max fiber load (at least 1
 each), where the K+1 / W+1 size bound is the search's starting bound.
 
-Hypothesis draws small matrices one survived-fiber set per path.  Its sets
-lean small, so most instances are sparse, set-cover-shaped covers that need
-several paths, which is where the exact search prunes hardest.  Hypothesis is
-a test-only dependency; without it this module skips.
+Hypothesis draws small matrices one fiber set per path, and draws whether
+that set is the path's survived fibers or its used fibers.  Its sets lean
+small.  Drawn as survived sets they give set-cover-shaped covers that need
+several paths, which is where the exact search prunes hardest.  Drawn as used
+sets they give paths over few fibers and fibers under few paths, where an
+optimum reaches the K+1 / W+1 bound.  Hypothesis is a test-only dependency;
+without it this module skips.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 @st.composite
 def matrices(draw) -> SurvivalMatrix:
     fibers = draw(st.integers(1, 10))
-    survived = draw(st.lists(st.sets(st.integers(1, fibers)), min_size=1, max_size=10))
+    drawn = draw(st.lists(st.sets(st.integers(1, fibers)), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        return SurvivalMatrix.from_fiber_sets(fibers, drawn)
     return SurvivalMatrix.from_fiber_sets(
-        fibers, [[f for f in range(1, fibers + 1) if f not in s] for s in survived]
+        fibers, [[f for f in range(1, fibers + 1) if f not in s] for s in drawn]
     )
 
 
