@@ -258,11 +258,8 @@ def write_spn(instance: ParallelInstance, target) -> None:
 def matrix_to_instance(mat: SurvivalMatrix, limits: Limits = Limits()) -> ParallelInstance:
     """Wrap a survival matrix as a parallel instance (for saving to ``.spn``)."""
     paths = tuple(
-        LogicalPath(
-            path_id=j, links=(j,), fibers_used=mat.path_fibers(j),
-            used_mask=mat.used_masks[j - 1],
-        )
-        for j in range(1, mat.num_paths + 1)
+        LogicalPath(path_id=j, links=(j,), fibers_used=mat.path_fibers(j), used_mask=mask)
+        for j, mask in enumerate(mat.used_masks, start=1)
     )
     catalog = PathCatalog(paths=paths, limits=limits, complete=False)
     return ParallelInstance(num_fibers=mat.num_fibers, catalog=catalog)
