@@ -1,20 +1,24 @@
 """Text formats for problem instances.
 
-Two formats are supported, both line-oriented, ``#``-comment and blank-line
-tolerant, with a versioned header line.
+Two formats are supported, both line-oriented, with a versioned header line.
+Blank lines and lines whose first non-blank character is ``#`` are skipped; a
+``#`` later in a line is part of it.
 
 ``.spn`` — parallel survivable-path instances (paths given as fiber sets)::
 
     spn 1
     fibers 8
-    w 2          # optional: per-fiber load cap
-    k 4          # optional: per-path fiber cap
+    # optional: per-fiber load cap
+    w 2
+    # optional: per-path fiber cap
+    k 4
     path 1: f1 f2 f3
     path 2: f4 f5
 
-``.lnet`` — layered networks (physical graph, logical graph, routing)::
+``.lnet`` — layered networks (physical graph, logical graph, routing; the
+header reads ``lnet 1 directed`` for a directed logical layer)::
 
-    lnet 1            # 'lnet 1 directed' for a directed logical layer
+    lnet 1
     pnodes s x t
     pfibers
     1 s x

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import io
+import re
+import textwrap
 from pathlib import Path
 from random import Random
 
@@ -21,6 +23,7 @@ from survpath import (
     write_lnet,
     write_spn,
 )
+from survpath import formats
 from survpath.instances import RandomEnsembleConfig, gen_random_parallel
 
 from oracles import random_parallel_layered
@@ -227,6 +230,37 @@ def test_lnet_round_trip_random_layered():
 def test_lnet_parse_errors(text, fragment):
     with pytest.raises(ValidationError, match=fragment):
         read_lnet(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# Documented examples
+# ---------------------------------------------------------------------------
+
+
+def _documented_examples() -> list[tuple[str, str]]:
+    """Every ``.spn``/``.lnet`` example block in README.md and the formats docstring."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```$", readme, re.S | re.M)
+    indented = re.findall(r"::\n\n((?:    .*\n|\n)+)", formats.__doc__)
+    blocks = [("README", b) for b in fenced]
+    blocks += [("formats docstring", textwrap.dedent(b)) for b in indented]
+    return [(where, b) for where, b in blocks if b.split(None, 1)[0] in ("spn", "lnet")]
+
+
+def test_every_format_is_documented_in_both_places():
+    found = sorted((where, block.split(None, 1)[0]) for where, block in _documented_examples())
+    assert found == [
+        ("README", "lnet"),
+        ("README", "spn"),
+        ("formats docstring", "lnet"),
+        ("formats docstring", "spn"),
+    ]
+
+
+@pytest.mark.parametrize("where, block", _documented_examples())
+def test_documented_example_parses(where, block):
+    reader = read_spn if block.startswith("spn") else read_lnet
+    reader(io.StringIO(block))
 
 
 # ---------------------------------------------------------------------------
