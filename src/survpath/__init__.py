@@ -62,7 +62,6 @@ from .pathing import (
     PathCatalog,
     enumerate_paths_k_restricted,
     enumerate_paths_unrestricted,
-    load_parallel_paths,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +93,6 @@ __all__ = [
     "PathCatalog",
     "enumerate_paths_k_restricted",
     "enumerate_paths_unrestricted",
-    "load_parallel_paths",
     "ParallelInstance",
     "read_spn",
     "write_spn",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from random import Random
 
 from .lp import FractionalSolution, solve_mfsp_relaxation
@@ -74,8 +73,8 @@ class GreedyState:
 
     ``covered_mask`` holds fibers whose failure the selection already survives;
     ``used_union`` holds fibers the selection is routed over.  The amortized
-    cost of a candidate is cost/gain and is undefined (``None``, treated as
-    +infinity) when the candidate survives no new fiber.
+    cost of a candidate is cost/gain; a candidate that survives no new fiber
+    is never picked.
     """
 
     mat: SurvivalMatrix
@@ -94,12 +93,6 @@ class GreedyState:
         if self.dynamic:
             used &= ~self.used_union
         return used.bit_count()
-
-    def amortized(self, j: int) -> Fraction | None:
-        g = self.gain(j)
-        if g == 0:
-            return None
-        return Fraction(self.cost(j), g)
 
     @property
     def complete(self) -> bool:

@@ -6,8 +6,9 @@ the path universe behind that matrix.  Two sources exist:
 * :func:`enumerate_paths_k_restricted` walks the logical layer of a layered
   network and lists every simple source-sink path whose fiber footprint stays
   within a per-path cap;
-* :func:`load_parallel_paths` reads a ``.spn`` file in which each path is given
-  directly as a fiber set (the parallel-link abstraction).
+* :func:`survpath.formats.read_spn` reads a ``.spn`` file in which each path is
+  given directly as a fiber set (the parallel-link abstraction); its
+  ``catalog`` is a :class:`PathCatalog`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "PathCatalog",
     "enumerate_paths_k_restricted",
     "enumerate_paths_unrestricted",
-    "load_parallel_paths",
 ]
 
 
@@ -179,14 +179,3 @@ def enumerate_paths_k_restricted(net: LayeredNetwork, max_fibers: int) -> PathCa
 def enumerate_paths_unrestricted(net: LayeredNetwork) -> PathCatalog:
     """Enumerate every simple s-t logical path with no fiber cap."""
     return PathCatalog(paths=tuple(_enumerate(net, None)), limits=Limits(), complete=True)
-
-
-def load_parallel_paths(path) -> PathCatalog:
-    """Read a ``.spn`` parallel-path file and return its validated catalog.
-
-    See :mod:`survpath.formats` for the grammar and the validation rules
-    (declared caps respected, path count within the load-cap bound).
-    """
-    from . import formats  # local import: formats builds on this module's types
-
-    return formats.read_spn(path).catalog

@@ -15,8 +15,8 @@ from survpath import (
     ValidationError,
     enumerate_paths_k_restricted,
     enumerate_paths_unrestricted,
-    load_parallel_paths,
     matrix_to_instance,
+    read_spn,
     write_spn,
 )
 from survpath import SurvivalMatrix
@@ -197,12 +197,12 @@ def test_catalog_rejects_cap_violations_and_duplicates():
         PathCatalog(paths=(path, dup), limits=Limits(), complete=False)
 
 
-def test_load_parallel_paths_round_trip(tmp_path):
+def test_spn_catalog_round_trip(tmp_path):
     mat = SurvivalMatrix.from_fiber_sets(4, [[1, 2], [3], [2, 4]])
     instance = matrix_to_instance(mat, Limits(max_paths_per_fiber=2))
     spn = tmp_path / "multi.spn"
     write_spn(instance, spn)
-    catalog = load_parallel_paths(spn)
+    catalog = read_spn(spn).catalog
     assert len(catalog.paths) == 3
     assert [sorted(p.fibers_used) for p in catalog.paths] == [[1, 2], [3], [2, 4]]
     assert catalog.limits.max_paths_per_fiber == 2
