@@ -1,22 +1,18 @@
 """Text formats for problem instances.
 
-Two formats are supported, both line-oriented, with a versioned header line.
-Blank lines and lines whose first non-blank character is ``#`` are skipped; a
-``#`` later in a line is part of it.
+Two formats are supported, both line-oriented with a versioned header line.
+Blank lines and lines that start with ``#`` (a comment) are skipped.
 
-``.spn`` — parallel survivable-path instances (paths given as fiber sets)::
+``.spn`` — parallel instances: paths as fiber sets, optional ``w``/``k`` caps::
 
     spn 1
     fibers 8
-    # optional: per-fiber load cap
     w 2
-    # optional: per-path fiber cap
     k 4
     path 1: f1 f2 f3
     path 2: f4 f5
 
-``.lnet`` — layered networks (physical graph, logical graph, routing; the
-header reads ``lnet 1 directed`` for a directed logical layer)::
+``.lnet`` — layered networks (``lnet 1 directed`` for a directed logical layer)::
 
     lnet 1
     pnodes s x t
@@ -35,8 +31,12 @@ write -> read -> write round-trips byte-identically.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import chain
+from math import inf
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     LayeredNetwork,
@@ -80,33 +80,35 @@ class ParallelInstance:
 
 
 class _Lines:
-    """Significant-line reader that tracks line numbers for error messages."""
+    """A file's significant lines, stripped, with their line numbers.
+
+    Blank lines and lines that start with ``#`` are dropped.  A reader takes
+    ``texts`` from ``pos`` on and moves ``pos`` past the lines it used; the
+    line number of ``texts[i]`` is ``numbers[i]``.
+    """
 
     def __init__(self, stream: Iterable[str], name: str) -> None:
         self.name = name
-        self.items: list[tuple[int, str]] = []
-        for no, raw in enumerate(stream, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            self.items.append((no, text))
-        self.pos = 0
+        texts = list(map(str.strip, stream))
+        numbers: Sequence[int] = range(1, len(texts) + 1)
+        # Once stripped, a comment line puts a '#' right after a newline here.
+        if not all(texts) or "\n#" in "\n" + "\n".join(texts):
+            numbers = [no for no, text in zip(numbers, texts) if text and text[0] != "#"]
+            texts = [text for text in texts if text and text[0] != "#"]
+        self.numbers, self.texts, self.pos = numbers, texts, 0
 
     def error(self, lineno: int, message: str) -> ValidationError:
         return ValidationError(f"{self.name}:{lineno}: {message}")
 
     def next(self, expect: str) -> tuple[int, str]:
-        if self.pos >= len(self.items):
+        if self.pos >= len(self.texts):
             raise ValidationError(f"{self.name}: unexpected end of file, expected {expect}")
-        item = self.items[self.pos]
         self.pos += 1
-        return item
+        return self.numbers[self.pos - 1], self.texts[self.pos - 1]
 
-    def peek(self) -> tuple[int, str] | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
+    def rest(self) -> Iterator[tuple[int, str]]:
+        """(line number, text) of each line from ``pos`` on."""
+        return zip(self.numbers[self.pos :], self.texts[self.pos :])
 
 
 def _open_lines(source, default_name: str) -> _Lines:
@@ -124,6 +126,52 @@ def _int_field(lines: _Lines, lineno: int, token: str, what: str) -> int:
         raise lines.error(lineno, f"expected an integer {what}, got {token!r}") from None
 
 
+def _line(lines: _Lines, expect: str, shape: str, keyword: str, least: int, most: float):
+    """The next line's number and tokens: ``keyword`` and ``least..most`` tokens in all."""
+    lineno, text = lines.next(expect)
+    parts = text.split()
+    if parts[0] != keyword or not least <= len(parts) <= most:
+        raise lines.error(lineno, f"expected {shape}, got {text!r}")
+    return lineno, parts
+
+
+def _by_id(lines: _Lines, ids: list[int], rows: list, what: str, note: str = "") -> list:
+    """``rows`` in the order of their ``ids``, which must be exactly 1..n."""
+    dense = list(range(1, len(ids) + 1))
+    if ids != dense:
+        ids, rows = map(list, zip(*sorted(zip(ids, rows))))
+        if ids != dense:
+            raise ValidationError(f"{lines.name}: {what} ids must be exactly 1..{len(ids)}{note}")
+    return rows
+
+
+def _path_fibers(lines: _Lines, lineno: int, pid: int, tail: str, num_fibers: int):
+    """The fiber ids after a path line's colon.
+
+    In bulk: every token is an 'f' and an int, no other 'f' is in the text, and
+    the ints are distinct and in 1..m.  Failing that, the tokens are checked
+    one at a time, to raise at the first bad one.
+    """
+    tokens = tail.split()
+    if tail.count("f") == len(tokens) == " ".join(["", *tokens]).count(" f"):
+        with suppress(ValueError):
+            fibers = frozenset(map(int, tail.replace("f", " ").split()))
+            in_range = min(fibers, default=1) >= 1 and max(fibers, default=0) <= num_fibers
+            if len(fibers) == len(tokens) and in_range:
+                return fibers
+    fibers = set()
+    for token in tokens:
+        if not token.startswith("f"):
+            raise lines.error(lineno, f"expected fiber token like 'f3', got {token!r}")
+        fid = _int_field(lines, lineno, token[1:], "fiber id")
+        if not 1 <= fid <= num_fibers:
+            raise lines.error(lineno, f"fiber {fid} outside 1..{num_fibers}")
+        if fid in fibers:
+            raise lines.error(lineno, f"duplicate fiber f{fid} on path {pid}")
+        fibers.add(fid)
+    return frozenset(fibers)
+
+
 # ---------------------------------------------------------------------------
 # .spn
 # ---------------------------------------------------------------------------
@@ -138,72 +186,37 @@ def read_spn(source) -> ParallelInstance:
     implied by the cap: every fiber can serve at most ``w`` distinct paths).
     """
     lines = _open_lines(source, "<spn>")
-
-    lineno, header = lines.next("'spn <version>' header")
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "spn":
-        raise lines.error(lineno, f"expected 'spn {SPN_VERSION}' header, got {header!r}")
+    shape = f"'spn {SPN_VERSION}' header"
+    lineno, parts = _line(lines, "'spn <version>' header", shape, "spn", 2, 2)
     if _int_field(lines, lineno, parts[1], "version") != SPN_VERSION:
         raise lines.error(lineno, f"unsupported spn version {parts[1]}")
-
-    lineno, decl = lines.next("'fibers <m>' line")
-    parts = decl.split()
-    if len(parts) != 2 or parts[0] != "fibers":
-        raise lines.error(lineno, f"expected 'fibers <m>' line, got {decl!r}")
+    lineno, parts = _line(lines, "'fibers <m>' line", "'fibers <m>' line", "fibers", 2, 2)
     num_fibers = _int_field(lines, lineno, parts[1], "fiber count")
     if num_fibers < 0:
         raise lines.error(lineno, "fiber count must be non-negative")
 
-    w_cap: int | None = None
-    k_cap: int | None = None
-    while True:
-        item = lines.peek()
-        if item is None:
-            break
-        lineno, text = item
+    caps: dict[str, int] = {}
+    for lineno, text in lines.rest():
         parts = text.split()
-        if parts[0] == "w" and len(parts) == 2:
-            if w_cap is not None:
-                raise lines.error(lineno, "duplicate 'w' line")
-            w_cap = _int_field(lines, lineno, parts[1], "load cap")
-            lines.next("")
-        elif parts[0] == "k" and len(parts) == 2:
-            if k_cap is not None:
-                raise lines.error(lineno, "duplicate 'k' line")
-            k_cap = _int_field(lines, lineno, parts[1], "fiber cap")
-            lines.next("")
-        else:
+        if len(parts) != 2 or parts[0] not in ("w", "k"):
             break
+        if parts[0] in caps:
+            raise lines.error(lineno, f"duplicate {parts[0]!r} line")
+        what = "load cap" if parts[0] == "w" else "fiber cap"
+        caps[parts[0]] = _int_field(lines, lineno, parts[1], what)
+        lines.pos += 1
+    w_cap, k_cap = caps.get("w"), caps.get("k")
 
-    # (path id, fiber set, the same set as a mask), one per path line.
-    fiber_sets: list[tuple[int, frozenset[int], int]] = []
-    while not lines.done():
-        lineno, text = lines.next("'path <id>: ...' line")
+    pids: list[int] = []
+    fiber_sets: list[frozenset[int]] = []
+    for lineno, text in lines.rest():
         head, sep, tail = text.partition(":")
         parts = head.split()
         if not sep or len(parts) != 2 or parts[0] != "path":
             raise lines.error(lineno, f"expected 'path <id>: f...' line, got {text!r}")
-        pid = _int_field(lines, lineno, parts[1], "path id")
-        fibers = set()
-        mask = 0
-        for token in tail.split():
-            if not token.startswith("f"):
-                raise lines.error(lineno, f"expected fiber token like 'f3', got {token!r}")
-            fid = _int_field(lines, lineno, token[1:], "fiber id")
-            if not 1 <= fid <= num_fibers:
-                raise lines.error(lineno, f"fiber {fid} outside 1..{num_fibers}")
-            if fid in fibers:
-                raise lines.error(lineno, f"duplicate fiber f{fid} on path {pid}")
-            fibers.add(fid)
-            mask |= 1 << (fid - 1)
-        fiber_sets.append((pid, frozenset(fibers), mask))
-
-    fiber_sets.sort()
-    ids = [pid for pid, _, _ in fiber_sets]
-    if ids != list(range(1, len(ids) + 1)):
-        raise ValidationError(
-            f"{lines.name}: path ids must be exactly 1..{len(ids)} with no duplicates"
-        )
+        pids.append(pid := _int_field(lines, lineno, parts[1], "path id"))
+        fiber_sets.append(_path_fibers(lines, lineno, pid, tail, num_fibers))
+    fiber_sets = _by_id(lines, pids, fiber_sets, "path", " with no duplicates")
 
     try:
         limits = Limits(max_fibers_per_path=k_cap, max_paths_per_fiber=w_cap)
@@ -216,27 +229,25 @@ def read_spn(source) -> ParallelInstance:
             f"{w_cap * num_fibers} implied by the declared load cap"
         )
     if k_cap is not None:
-        for pid, fibers, _ in fiber_sets:
+        for pid, fibers in enumerate(fiber_sets, start=1):
             if len(fibers) > k_cap:
                 raise ValidationError(
                     f"{lines.name}: path {pid} uses {len(fibers)} fibers, above the "
                     f"declared cap k={k_cap}"
                 )
     if w_cap is not None:
-        load = [0] * (num_fibers + 1)
-        for _, fibers, _ in fiber_sets:
-            for f in fibers:
-                load[f] += 1
-        for f in range(1, num_fibers + 1):
-            if load[f] > w_cap:
-                raise ValidationError(
-                    f"{lines.name}: fiber {f} carries {load[f]} paths, above the "
-                    f"declared load cap w={w_cap}"
-                )
+        load = Counter(chain.from_iterable(fiber_sets))
+        over = [f for f, count in load.items() if count > w_cap]
+        if over:
+            raise ValidationError(
+                f"{lines.name}: fiber {min(over)} carries {load[min(over)]} paths, above "
+                f"the declared load cap w={w_cap}"
+            )
 
+    # Bit f of the sum stands for fiber f; the mask keeps fiber f in bit f-1.
     paths = tuple(
-        LogicalPath(path_id=pid, links=(pid,), fibers_used=fibers, used_mask=mask)
-        for pid, fibers, mask in fiber_sets
+        LogicalPath(pid, (pid,), fibers, used_mask=sum(map((1).__lshift__, fibers)) >> 1)
+        for pid, fibers in enumerate(fiber_sets, start=1)
     )
     catalog = PathCatalog(paths=paths, limits=limits, complete=False)
     return ParallelInstance(num_fibers=num_fibers, catalog=catalog)
@@ -277,86 +288,69 @@ def matrix_to_instance(mat: SurvivalMatrix, limits: Limits = Limits()) -> Parall
 def read_lnet(source) -> LayeredNetwork:
     """Parse a ``.lnet`` layered-network file."""
     lines = _open_lines(source, "<lnet>")
-
-    lineno, header = lines.next("'lnet <version>' header")
-    parts = header.split()
-    if len(parts) not in (2, 3) or parts[0] != "lnet":
-        raise lines.error(lineno, f"expected 'lnet {LNET_VERSION}' header, got {header!r}")
+    shape = f"'lnet {LNET_VERSION}' header"
+    lineno, parts = _line(lines, "'lnet <version>' header", shape, "lnet", 2, 3)
     if _int_field(lines, lineno, parts[1], "version") != LNET_VERSION:
         raise lines.error(lineno, f"unsupported lnet version {parts[1]}")
-    directed = False
-    if len(parts) == 3:
-        if parts[2] != "directed":
-            raise lines.error(lineno, f"unknown header flag {parts[2]!r}")
-        directed = True
+    directed = len(parts) == 3
+    if directed and parts[2] != "directed":
+        raise lines.error(lineno, f"unknown header flag {parts[2]!r}")
+    _, (_, *pnodes) = _line(lines, "'pnodes ...' line", "'pnodes <names...>'", "pnodes", 2, inf)
+    _line(lines, "'pfibers' line", "'pfibers' section", "pfibers", 1, 1)
 
-    lineno, text = lines.next("'pnodes ...' line")
-    parts = text.split()
-    if parts[0] != "pnodes" or len(parts) < 2:
-        raise lines.error(lineno, f"expected 'pnodes <names...>', got {text!r}")
-    pnodes = tuple(parts[1:])
-
-    lineno, text = lines.next("'pfibers' line")
-    if text != "pfibers":
-        raise lines.error(lineno, f"expected 'pfibers' section, got {text!r}")
-    fibers: list[tuple[int, str, str]] = []
-    while (item := lines.peek()) is not None and item[1].split()[0].isdigit():
-        lineno, text = lines.next("")
+    # Numbered sections run while a line's first token is all digits.
+    ids: list[int] = []
+    fibers: list[tuple[str, str]] = []
+    for lineno, text in lines.rest():
         parts = text.split()
+        if not parts[0].isdigit():
+            break
         if len(parts) != 3:
             raise lines.error(lineno, f"expected '<id> <u> <v>' fiber line, got {text!r}")
-        fibers.append((_int_field(lines, lineno, parts[0], "fiber id"), parts[1], parts[2]))
-    fibers.sort()
-    if [f[0] for f in fibers] != list(range(1, len(fibers) + 1)):
-        raise ValidationError(f"{lines.name}: fiber ids must be exactly 1..{len(fibers)}")
+        ids.append(_int_field(lines, lineno, parts[0], "fiber id"))
+        fibers.append((parts[1], parts[2]))
+    lines.pos += len(ids)
+    fibers = _by_id(lines, ids, fibers, "fiber")
 
-    lineno, text = lines.next("'lnodes ...' line")
-    parts = text.split()
-    if parts[0] != "lnodes" or len(parts) < 2:
-        raise lines.error(lineno, f"expected 'lnodes <names...>', got {text!r}")
-    lnodes = tuple(parts[1:])
-
-    lineno, text = lines.next("'llinks' line")
-    if text != "llinks":
-        raise lines.error(lineno, f"expected 'llinks' section, got {text!r}")
-    links: list[tuple[int, str, str, tuple[int, ...]]] = []
-    while (item := lines.peek()) is not None and item[1].split()[0].isdigit():
-        lineno, text = lines.next("")
+    _, (_, *lnodes) = _line(lines, "'lnodes ...' line", "'lnodes <names...>'", "lnodes", 2, inf)
+    _line(lines, "'llinks' line", "'llinks' section", "llinks", 1, 1)
+    ids, links = [], []
+    for lineno, text in lines.rest():
+        if not text.split(None, 1)[0].isdigit():
+            break
         head, sep, tail = text.partition(":")
         parts = head.split()
         if not sep or len(parts) != 3:
             raise lines.error(lineno, f"expected '<id> <u> <v>: <fibers...>', got {text!r}")
-        route = tuple(
-            _int_field(lines, lineno, tok, "fiber id") for tok in tail.split()
-        )
-        if not route:
-            raise lines.error(lineno, "logical link has an empty routing")
-        links.append(
-            (_int_field(lines, lineno, parts[0], "link id"), parts[1], parts[2], route)
-        )
-    links.sort()
-    if [l[0] for l in links] != list(range(1, len(links) + 1)):
-        raise ValidationError(f"{lines.name}: link ids must be exactly 1..{len(links)}")
+        tokens = tail.split()
+        try:
+            route, link = tuple(map(int, tokens)), int(parts[0])
+        except ValueError:
+            route = ()
+        if not route:  # token by token, the route before the id, to name the fault
+            route = tuple(_int_field(lines, lineno, tok, "fiber id") for tok in tokens)
+            if not route:
+                raise lines.error(lineno, "logical link has an empty routing")
+            link = _int_field(lines, lineno, parts[0], "link id")
+        ids.append(link)
+        links.append((parts[1], parts[2], route))
+    lines.pos += len(ids)
+    links = _by_id(lines, ids, links, "link")
 
-    lineno, text = lines.next("'st <source> <sink>' line")
-    parts = text.split()
-    if parts[0] != "st" or len(parts) != 3:
-        raise lines.error(lineno, f"expected 'st <source> <sink>', got {text!r}")
-    source_node, sink_node = parts[1], parts[2]
-
-    if not lines.done():
-        lineno, text = lines.next("")
+    shape = "'st <source> <sink>'"
+    _, (_, source_node, sink_node) = _line(lines, f"{shape} line", shape, "st", 3, 3)
+    for lineno, text in lines.rest():
         raise lines.error(lineno, f"unexpected trailing content {text!r}")
 
-    physical = PhysicalTopology(nodes=pnodes, fibers=tuple((u, v) for _, u, v in fibers))
+    physical = PhysicalTopology(nodes=tuple(pnodes), fibers=tuple(fibers))
     logical = LogicalTopology(
-        nodes=lnodes,
-        links=tuple((u, v) for _, u, v, _ in links),
+        nodes=tuple(lnodes),
+        links=tuple([(u, v) for u, v, _ in links]),
         source=source_node,
         sink=sink_node,
         directed=directed,
     )
-    routing = LightpathRouting(routes=tuple(route for _, _, _, route in links))
+    routing = LightpathRouting(routes=tuple([route for _, _, route in links]))
     return LayeredNetwork(physical=physical, logical=logical, routing=routing)
 
 

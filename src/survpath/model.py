@@ -198,36 +198,34 @@ class LayeredNetwork:
                 f"{self.logical.num_links} logical links"
             )
         pnodes = set(self.physical.nodes)
-        for k, (u, v) in enumerate(self.logical.links, start=1):
+        fibers = self.physical.fibers
+        m = len(fibers)
+        # Each route must be a fiber walk from u to v (fibers are undirected).
+        for link, ((u, v), route) in enumerate(zip(self.logical.links, self.routing.routes), 1):
             if u not in pnodes or v not in pnodes:
                 raise RoutingIntegrityError(
-                    f"logical link {k} endpoints {u!r},{v!r} are not physical nodes"
+                    f"logical link {link} endpoints {u!r},{v!r} are not physical nodes"
                 )
-            self._check_walk(k, u, v)
-
-    def _check_walk(self, link: int, u: str, v: str) -> None:
-        """A route must be a fiber walk from u to v (fibers are undirected)."""
-        route = self.routing.routes[link - 1]
-        at = u
-        for fiber in route:
-            if not 1 <= fiber <= self.physical.num_fibers:
+            at = u
+            for fiber in route:
+                if not 0 < fiber <= m:
+                    raise RoutingIntegrityError(
+                        f"logical link {link} routed over unknown fiber {fiber}"
+                    )
+                a, b = fibers[fiber - 1]
+                if at == a:
+                    at = b
+                elif at == b:
+                    at = a
+                else:
+                    raise RoutingIntegrityError(
+                        f"logical link {link}: fiber {fiber} does not touch node {at!r}, "
+                        "routing is not a connected walk"
+                    )
+            if at != v:
                 raise RoutingIntegrityError(
-                    f"logical link {link} routed over unknown fiber {fiber}"
+                    f"logical link {link}: routing ends at {at!r}, expected {v!r}"
                 )
-            a, b = self.physical.endpoints(fiber)
-            if at == a:
-                at = b
-            elif at == b:
-                at = a
-            else:
-                raise RoutingIntegrityError(
-                    f"logical link {link}: fiber {fiber} does not touch node {at!r}, "
-                    "routing is not a connected walk"
-                )
-        if at != v:
-            raise RoutingIntegrityError(
-                f"logical link {link}: routing ends at {at!r}, expected {v!r}"
-            )
 
     @property
     def num_fibers(self) -> int:
