@@ -25,7 +25,6 @@ from .instances import (
 )
 from .lp import FractionalSolution, solve_mfsp_relaxation
 from .mfsp import (
-    GreedyState,
     RoundingConfig,
     check_lemma7,
     mfsp_acg,
@@ -107,7 +106,6 @@ __all__ = [
     "EpsNetState",
     "FractionalSolution",
     "solve_mfsp_relaxation",
-    "GreedyState",
     "RoundingConfig",
     "mfsp_exact",
     "mfsp_acg",

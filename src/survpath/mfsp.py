@@ -24,7 +24,7 @@ summed path costs to its fiber footprint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .lp import FractionalSolution, solve_mfsp_relaxation
@@ -41,16 +41,16 @@ from .model import (
 )
 from .msp import (
     _Budget,
-    _greedy_selection,
+    _greedy,
     _lex_smallest_cover,
     _min_cover_size,
+    _report,
     _size_bound,
     _validated_limits,
     msp_epsnet,
 )
 
 __all__ = [
-    "GreedyState",
     "RoundingConfig",
     "mfsp_exact",
     "mfsp_acg",
@@ -67,172 +67,36 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GreedyState:
-    """Evolving state of an amortized-cost greedy run.
-
-    ``covered_mask`` holds fibers whose failure the selection already survives;
-    ``used_union`` holds fibers the selection is routed over.  The amortized
-    cost of a candidate is cost/gain; a candidate that survives no new fiber
-    is never picked.
-    """
-
-    mat: SurvivalMatrix
-    dynamic: bool
-    selected: list[int] = field(default_factory=list)
-    covered_mask: int = 0
-    used_union: int = 0
-
-    def gain(self, j: int) -> int:
-        """Fibers newly survived if path j were selected now."""
-        return (self.mat.survive_mask(j) & ~self.covered_mask).bit_count()
-
-    def cost(self, j: int) -> int:
-        """Static fiber count, or (dynamic mode) only the new fibers added."""
-        used = self.mat.used_mask(j)
-        if self.dynamic:
-            used &= ~self.used_union
-        return used.bit_count()
-
-    @property
-    def complete(self) -> bool:
-        return self.covered_mask == self.mat.all_fibers_mask
-
-    def best_candidate(self) -> int:
-        """Unselected path with the least amortized cost.
-
-        Ties break to the smaller cost, then the smaller path id (ascending
-        scan with strict improvement gives both for free).
-        """
-        best_j = 0
-        best_cost = 0
-        best_gain = 0
-        chosen = set(self.selected)
-        # gain() and cost() inlined over the mask lists: ids here are valid.
-        uncovered = ~self.covered_mask
-        unlit = ~self.used_union if self.dynamic else -1
-        masks = zip(self.mat.survive_masks, self.mat.used_masks)
-        for j, (survive, used) in enumerate(masks, start=1):
-            if j in chosen:
-                continue
-            g = (survive & uncovered).bit_count()
-            if g == 0:
-                continue
-            c = (used & unlit).bit_count()
-            if best_j == 0:
-                best_j, best_cost, best_gain = j, c, g
-                continue
-            # c/g < best_cost/best_gain, by cross-multiplication.
-            lhs = c * best_gain
-            rhs = best_cost * g
-            if lhs < rhs or (lhs == rhs and c < best_cost):
-                best_j, best_cost, best_gain = j, c, g
-        if not best_j:
-            raise SurvPathError(
-                "no unselected path survives an uncovered fiber; the "
-                "feasibility precheck should have caught this instance"
-            )
-        return best_j
-
-    def select(self, j: int) -> tuple[int, int]:
-        """Add path j; returns its (cost, gain) as charged at selection time."""
-        c, g = self.cost(j), self.gain(j)
-        self.selected.append(j)
-        self.covered_mask |= self.mat.survive_masks[j - 1]
-        self.used_union |= self.mat.used_masks[j - 1]
-        return c, g
-
-    def remove(self, j: int) -> None:
-        """Drop path j and rebuild the fiber footprint (coverage must hold)."""
-        self.selected.remove(j)
-        used = self.mat.used_masks
-        self.used_union = 0
-        for k in self.selected:
-            self.used_union |= used[k - 1]
-
-
 def _greedy_run(
-    mat: SurvivalMatrix,
-    *,
-    dynamic: bool,
-    algorithm: str,
-    rng: Random | None = None,
-    seed: int | None = None,
+    mat: SurvivalMatrix, algorithm: str, *, dynamic: bool, seed: int | None = None
 ) -> SolveReport:
+    """One of the amortized-cost greedies, reported under ``algorithm``; a
+    ``seed`` adds RSG's substitution sweeps."""
     clock = _Stopwatch()
     require_feasible(mat)
-    state = GreedyState(mat=mat, dynamic=dynamic)
-    trace: list[list[int]] = []
-    removals: list[int] = []
-    iterations = 0
-    while not state.complete:
-        j = state.best_candidate()
-        c, g = state.select(j)
-        iterations += 1
-        trace.append([j, c, g])
-        if rng is not None and iterations > 2 and len(state.selected) > 1:
-            _substitution_sweep(state, j, rng, removals)
-    solution = PathSet.from_ids(mat, state.selected)
-    if not solution.survivable:
-        raise SurvPathError(
-            f"greedy selection {list(solution.selected)} is not survivable"
-        )
+    rng = Random(seed) if seed is not None else None
+    selected, trace, removed = _greedy(mat, mat.used_masks, dynamic=dynamic, rng=rng)
     extra: dict = {"selections": trace}
     if rng is not None:
-        extra["removed"] = removals
-    return SolveReport(
-        algorithm=algorithm,
-        problem="mfsp",
-        solution=solution,
-        objective=solution.num_fibers_used,
-        iterations=iterations,
-        seed=seed,
-        elapsed=clock.elapsed(),
-        extra=extra,
-    )
-
-
-def _substitution_sweep(
-    state: GreedyState, newest: int, rng: Random, removals: list[int]
-) -> None:
-    """Retire at most one earlier selection dominated by ``newest`` + a random peer.
-
-    A previous selection k is dominated when every fiber it survives is already
-    survived by the newest path together with the drawn peer; removing it keeps
-    coverage identical (checked) and can only shrink the fiber footprint.
-    """
-    survive = state.mat.survive_masks
-    previous = [k for k in state.selected if k != newest]
-    peer = previous[rng.randrange(len(previous))]
-    dominated_by = survive[newest - 1] | survive[peer - 1]
-    victims = [
-        k for k in previous if k != peer and survive[k - 1] & ~dominated_by == 0
-    ]
-    if not victims:
-        return
-    victim = min(victims)
-    before = state.covered_mask
-    state.remove(victim)
-    after = 0
-    for k in state.selected:
-        after |= survive[k - 1]
-    if after != before:
+        extra["removed"] = removed
+    report = _report(mat, algorithm, selected, clock, len(trace), seed, **extra)
+    if not report.solution.survivable:
         raise SurvPathError(
-            f"substitution sweep lost coverage retiring path {victim}"
+            f"greedy selection {list(report.solution.selected)} is not survivable"
         )
-    removals.append(victim)
+    return report
 
 
 def mfsp_acg(mat: SurvivalMatrix) -> SolveReport:
     """Amortized-cost greedy with static costs (a path always charges its full
     fiber count, even for fibers the selection already uses)."""
-    return _greedy_run(mat, dynamic=False, algorithm="mfsp_acg")
+    return _greedy_run(mat, "mfsp_acg", dynamic=False)
 
 
 def mfsp_nacg(mat: SurvivalMatrix) -> SolveReport:
     """Amortized-cost greedy with dynamic costs: fibers already in the
     selection's footprint are free, so re-using lit fibers is rewarded."""
-    return _greedy_run(mat, dynamic=True, algorithm="mfsp_nacg")
+    return _greedy_run(mat, "mfsp_nacg", dynamic=True)
 
 
 def mfsp_rsg(mat: SurvivalMatrix, seed: int = 0) -> SolveReport:
@@ -240,12 +104,11 @@ def mfsp_rsg(mat: SurvivalMatrix, seed: int = 0) -> SolveReport:
 
     Identical to :func:`mfsp_nacg` for the first two selections; afterwards
     each selection is followed by one substitution sweep (see
-    :func:`_substitution_sweep`).  Removed paths may be selected again later;
-    coverage grows monotonically, so the run terminates.
+    :func:`~survpath.msp._substitution_sweep`).  A removed path survives no
+    uncovered fiber, so it is never selected again; coverage grows
+    monotonically, so the run terminates.
     """
-    return _greedy_run(
-        mat, dynamic=True, algorithm="mfsp_rsg", rng=Random(seed), seed=seed
-    )
+    return _greedy_run(mat, "mfsp_rsg", dynamic=True, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +145,14 @@ def mfsp_exact(
     witness = _lex_smallest_cover(mat, cost, budget, weight)
 
     fibers, paths = divmod(cost, weight)
-    solution = PathSet.from_ids(mat, witness)
-    if not solution.survivable or (solution.num_fibers_used, solution.size) != (fibers, paths):
+    report = _report(mat, "mfsp_exact", witness, clock, budget.nodes, size_bound=size_bound)
+    solution = report.solution
+    if not solution.survivable or (report.objective, solution.size) != (fibers, paths):
         raise SurvPathError(
             f"exact witness {witness} is not a survivable set of {paths} paths "
             f"on {fibers} fibers"
         )
-    return SolveReport(
-        algorithm="mfsp_exact",
-        problem="mfsp",
-        solution=solution,
-        objective=fibers,
-        iterations=budget.nodes,
-        seed=None,
-        elapsed=clock.elapsed(),
-        extra={"size_bound": size_bound},
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +221,11 @@ def mfsp_randomized_rounding(
     }
     if repair and not mat.is_survivable(chosen):
         extra["objective_before_repair"] = len(mat.fibers_used_by(chosen))
-        added, _ = _greedy_selection(mat, chosen)
+        _, trace, _ = _greedy(mat, start=chosen)
+        added = [j for j, _, _ in trace]
         chosen.update(added)
         extra["repair_added"] = added
-    solution = PathSet.from_ids(mat, chosen)
-    return SolveReport(
-        algorithm="mfsp_rounding",
-        problem="mfsp",
-        solution=solution,
-        objective=solution.num_fibers_used,
-        iterations=rounds,
-        seed=config.seed,
-        elapsed=clock.elapsed(),
-        extra=extra,
-    )
+    return _report(mat, "mfsp_rounding", chosen, clock, rounds, config.seed, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +253,10 @@ def mfsp_epsnet(
             "mfsp_epsnet requires a declared per-fiber load cap (W)"
         )
     inner = msp_epsnet(mat, limits, seed, c=c)
-    solution = inner.solution
-    return SolveReport(
-        algorithm="mfsp_epsnet",
-        problem="mfsp",
-        solution=solution,
-        objective=solution.num_fibers_used,
-        iterations=inner.iterations,
-        seed=seed,
-        elapsed=clock.elapsed(),
-        extra=dict(inner.extra, msp_size=solution.size),
+    selected = inner.solution.selected
+    return _report(
+        mat, "mfsp_epsnet", selected, clock, inner.iterations, seed,
+        **inner.extra, msp_size=len(selected),
     )
 
 

@@ -10,7 +10,9 @@ survives.  Three solvers are provided:
   cap W, at most W+1 (any W+1 distinct paths already form a survivable set,
   since a fiber carried by at most W paths cannot be used by all of them).
   MFSP's exact solver runs the same search with a fiber weight.
-* :func:`msp_greedy` — max-coverage greedy, ties to the smallest path id.
+* :func:`msp_greedy` — max-coverage greedy, ties to the smallest path id: the
+  one set-cover greedy, :func:`_greedy`, at unit path cost.  MFSP's greedies
+  run it with fiber costs.
 * :func:`msp_epsnet` — multiplicative-weight epsilon-net sampling: when the
   optimum has g paths, a random sample hitting every (1/2g)-heavy fiber row is
   likely survivable once the weights of surviving paths have been doubled a
@@ -24,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import (
     Limits,
@@ -83,6 +85,25 @@ class _Budget:
             raise SearchBudgetExceeded(self.nodes)
 
 
+def _report(
+    mat: SurvivalMatrix,
+    algorithm: str,
+    ids: Iterable[int],
+    clock: _Stopwatch,
+    iterations: int,
+    seed: int | None = None,
+    **extra,
+) -> SolveReport:
+    """Report selection ``ids`` for ``algorithm``, named ``<problem>_<alg>``;
+    the objective is the path count for MSP and the lit fiber count for MFSP."""
+    problem = algorithm.split("_")[0]
+    solution = PathSet.from_ids(mat, ids)
+    objective = solution.size if problem == "msp" else solution.num_fibers_used
+    return SolveReport(
+        algorithm, problem, solution, objective, iterations, seed, clock.elapsed(), extra
+    )
+
+
 def effective_fiber_cap(mat: SurvivalMatrix, limits: Limits | None) -> int:
     """Declared per-path fiber cap, or the instance's max path cost (>= 1)."""
     if limits is not None and limits.max_fibers_per_path is not None:
@@ -95,39 +116,101 @@ def effective_fiber_cap(mat: SurvivalMatrix, limits: Limits | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_selection(
-    mat: SurvivalMatrix, start: Iterable[int] = ()
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """Max-coverage greedy over fiber rows, extending the ``start`` selection
-    until it is survivable; returns (added ids, per-step trace)."""
+def _greedy(
+    mat: SurvivalMatrix,
+    cost_masks: Sequence[int] | None = None,
+    *,
+    dynamic: bool = False,
+    start: Iterable[int] = (),
+    rng: Random | None = None,
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """Chvátal's weighted set-cover greedy over fiber rows, extending the
+    ``start`` selection until it is survivable.
+
+    Path j costs the bits of ``cost_masks[j-1]`` that are still unpaid: none
+    are paid when the cost is fixed, and in ``dynamic`` mode the bits of every
+    selected path are.  Without masks every path costs 1 (MSP); with the fiber
+    masks the cost is the path's fiber count (ACG) or, in dynamic mode, the
+    fibers it adds to the footprint (NACG).  Each step takes the path of least
+    cost per newly survived fiber; ties break to the smaller cost, then the
+    smaller id.  A path surviving no uncovered fiber, selected ones included,
+    is never taken.  With ``rng``, every step after the second is followed by
+    one :func:`_substitution_sweep`.
+
+    Returns the selection, the per-step [path, cost, gain] trace and the
+    paths the sweeps removed.
+    """
+    if cost_masks is None:
+        cost_masks = [1] * mat.num_paths
     full = mat.all_fibers_mask
     survive = mat.survive_masks
-    covered = chosen_mask = 0
-    for j in start:
+    selected = list(start)
+    covered = paid = 0
+    for j in selected:
         covered |= survive[j - 1]
-        chosen_mask |= 1 << (j - 1)
-    chosen: list[int] = []
-    trace: list[tuple[int, int]] = []
+        paid |= cost_masks[j - 1]
+    trace: list[list[int]] = []
+    removed: list[int] = []
     while covered != full:
-        best_id = 0
-        best_gain = -1
-        for j in range(1, mat.num_paths + 1):
-            if chosen_mask >> (j - 1) & 1:
+        uncovered = ~covered
+        unpaid = ~paid if dynamic else -1
+        # Cost 1 per gain 0 loses to every candidate.
+        best_j, best_cost, best_gain = 0, 1, 0
+        for j, (survives, costs) in enumerate(zip(survive, cost_masks), start=1):
+            gain = (survives & uncovered).bit_count()
+            if not gain:
                 continue
-            gain = (survive[j - 1] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_id = j
-        if best_gain <= 0:
+            cost = (costs & unpaid).bit_count()
+            # cost/gain < best_cost/best_gain, by cross-multiplication.
+            lhs = cost * best_gain
+            rhs = best_cost * gain
+            if lhs < rhs or (lhs == rhs and cost < best_cost):
+                best_j, best_cost, best_gain = j, cost, gain
+        if not best_j:
             raise SurvPathError(
                 "greedy found no path surviving an uncovered fiber; the "
                 "feasibility precheck should have caught this instance"
             )
-        chosen.append(best_id)
-        chosen_mask |= 1 << (best_id - 1)
-        covered |= survive[best_id - 1]
-        trace.append((best_id, best_gain))
-    return chosen, trace
+        selected.append(best_j)
+        covered |= survive[best_j - 1]
+        paid |= cost_masks[best_j - 1]
+        trace.append([best_j, best_cost, best_gain])
+        if rng is not None and len(trace) > 2 and len(selected) > 1:
+            victim = _substitution_sweep(mat, selected, covered, best_j, rng)
+            if victim:
+                removed.append(victim)
+                paid = 0
+                for j in selected:
+                    paid |= cost_masks[j - 1]
+    return selected, trace, removed
+
+
+def _substitution_sweep(
+    mat: SurvivalMatrix, selected: list[int], covered: int, newest: int, rng: Random
+) -> int:
+    """Retire at most one earlier selection dominated by ``newest`` + a random
+    peer; returns it, or 0.
+
+    A previous selection k is dominated when every fiber it survives is already
+    survived by the newest path together with the drawn peer; removing it from
+    ``selected`` keeps the coverage ``covered`` (checked) and can only shrink
+    the fiber footprint.
+    """
+    survive = mat.survive_masks
+    previous = [k for k in selected if k != newest]
+    peer = previous[rng.randrange(len(previous))]
+    dominated_by = survive[newest - 1] | survive[peer - 1]
+    victims = [k for k in previous if k != peer and not survive[k - 1] & ~dominated_by]
+    if not victims:
+        return 0
+    victim = min(victims)
+    selected.remove(victim)
+    after = 0
+    for k in selected:
+        after |= survive[k - 1]
+    if after != covered:
+        raise SurvPathError(f"substitution sweep lost coverage retiring path {victim}")
+    return victim
 
 
 def msp_greedy(mat: SurvivalMatrix) -> SolveReport:
@@ -140,17 +223,10 @@ def msp_greedy(mat: SurvivalMatrix) -> SolveReport:
     """
     clock = _Stopwatch()
     require_feasible(mat)
-    chosen, trace = _greedy_selection(mat)
-    solution = PathSet.from_ids(mat, chosen)
-    return SolveReport(
-        algorithm="msp_greedy",
-        problem="msp",
-        solution=solution,
-        objective=solution.size,
-        iterations=len(chosen),
-        seed=None,
-        elapsed=clock.elapsed(),
-        extra={"selections": [list(step) for step in trace]},
+    chosen, trace, _ = _greedy(mat)
+    return _report(
+        mat, "msp_greedy", chosen, clock, len(chosen),
+        selections=[[j, gain] for j, _, gain in trace],
     )
 
 
@@ -325,27 +401,18 @@ def msp_exact(
     limits = _validated_limits(mat, limits)
     bound = _size_bound(mat, limits)
 
-    incumbent, _ = _greedy_selection(mat)
+    incumbent, _, _ = _greedy(mat)
     best_size = _min_cover_size(
         mat, 0, mat.all_paths_mask, min(len(incumbent), bound), budget
     )
     witness = _lex_smallest_cover(mat, best_size, budget)
 
-    solution = PathSet.from_ids(mat, witness)
-    if not solution.survivable or solution.size != best_size:
+    report = _report(mat, "msp_exact", witness, clock, budget.nodes, size_bound=bound)
+    if not report.solution.survivable or report.objective != best_size:
         raise SurvPathError(
             f"exact witness {list(witness)} is not a survivable set of {best_size} paths"
         )
-    return SolveReport(
-        algorithm="msp_exact",
-        problem="msp",
-        solution=solution,
-        objective=best_size,
-        iterations=budget.nodes,
-        seed=None,
-        elapsed=clock.elapsed(),
-        extra={"size_bound": bound},
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +544,7 @@ def msp_epsnet(
     n = mat.num_paths
     m = mat.num_fibers
     if m == 0:
-        solution = PathSet.from_ids(mat, ())
-        return SolveReport(
-            algorithm="msp_epsnet",
-            problem="msp",
-            solution=solution,
-            objective=0,
-            iterations=0,
-            seed=seed,
-            elapsed=clock.elapsed(),
-            extra={},
-        )
+        return _report(mat, "msp_epsnet", (), clock, 0, seed)
     dimension = _vc_dimension_proxy(mat, limits)
 
     total_rounds = 0
@@ -505,21 +562,10 @@ def msp_epsnet(
             found = epsnet_round(state, mat, rng)
             if found is not None:
                 total_rounds += state.rounds
-                solution = PathSet.from_ids(mat, found)
-                return SolveReport(
-                    algorithm="msp_epsnet",
-                    problem="msp",
-                    solution=solution,
-                    objective=solution.size,
-                    iterations=total_rounds,
-                    seed=seed,
-                    elapsed=clock.elapsed(),
-                    extra={
-                        "guess": guess,
-                        "epsilon": epsilon,
-                        "sample_size": sample_size,
-                        "rounds_in_final_guess": state.rounds,
-                    },
+                return _report(
+                    mat, "msp_epsnet", found, clock, total_rounds, seed, guess=guess,
+                    epsilon=epsilon, sample_size=sample_size,
+                    rounds_in_final_guess=state.rounds,
                 )
         total_rounds += state.rounds
         guess *= 2

@@ -34,9 +34,8 @@ from survpath import (
     mfsp_nacg,
     msp_exact,
 )
-from survpath.mfsp import GreedyState, _substitution_sweep
 from survpath.model import LogicalPath
-from survpath.msp import _greedy_selection
+from survpath.msp import _greedy, _substitution_sweep
 
 from oracles import random_feasible_matrix
 
@@ -70,7 +69,7 @@ def test_mfsp_exact_rejects_an_unsurvivable_witness(pairwise3, monkeypatch):
 
 def test_greedy_without_progress_raises(uncoverable):
     with pytest.raises(SurvPathError, match="no path surviving an uncovered fiber"):
-        _greedy_selection(uncoverable)
+        _greedy(uncoverable)
 
 
 def test_witness_check_still_raises_under_python_O():
@@ -108,52 +107,43 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
 
 def test_best_candidate_without_an_eligible_path_raises(uncoverable):
     # Both paths selected and fiber 1 still uncovered: nothing is left to add.
-    state = GreedyState(mat=uncoverable, dynamic=True)
-    state.select(1)
-    state.select(2)
-    with pytest.raises(SurvPathError, match="no unselected path survives"):
-        state.best_candidate()
+    with pytest.raises(SurvPathError, match="no path surviving an uncovered fiber"):
+        _greedy(uncoverable, uncoverable.used_masks, dynamic=True, start=[1, 2])
 
 
 def test_best_candidate_check_still_raises_under_python_O():
     code = (
         "from survpath import SurvPathError, SurvivalMatrix\n"
-        "from survpath.mfsp import GreedyState\n"
+        "from survpath.msp import _greedy\n"
         "assert False, 'asserts must be stripped here'\n"
         "mat = SurvivalMatrix.from_fiber_sets(2, [[1], [1, 2]])\n"
-        "state = GreedyState(mat=mat, dynamic=False)\n"
-        "state.select(1)\n"
-        "state.select(2)\n"
         "try:\n"
-        "    state.best_candidate()\n"
+        "    _greedy(mat, mat.used_masks, start=[1, 2])\n"
         "except SurvPathError as exc:\n"
         "    print('rejected:', exc)\n"
     )
     proc = _run_optimized(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected: no unselected path survives")
+    assert proc.stdout.startswith("rejected: greedy found no path surviving")
 
 
 def test_greedy_run_rejects_an_unsurvivable_result(pairwise3, monkeypatch):
     # Stop the greedy after its first pick: one path of pairwise3 survives
     # only one of the three fibers.
     monkeypatch.setattr(
-        GreedyState, "complete", property(lambda state: bool(state.selected))
+        survpath.mfsp, "_greedy", lambda *args, **kwargs: ([1], [[1, 2, 1]], [])
     )
     with pytest.raises(SurvPathError, match="greedy selection .* is not survivable"):
         mfsp_nacg(pairwise3)
 
 
 def test_substitution_sweep_rejects_a_coverage_loss():
-    # Path 3 survives both fibers, so it dominates paths 1 and 2; but the state
-    # claims 3 is the newest pick without holding it, so retiring a dominated
-    # path loses the fiber only that path survived.
+    # Path 3 survives both fibers, so it dominates paths 1 and 2; but the sweep
+    # is told 3 is the newest pick of a selection that does not hold it, so
+    # retiring a dominated path loses the fiber only that path survived.
     mat = SurvivalMatrix.from_fiber_sets(2, [[2], [1], []])
-    state = GreedyState(mat=mat, dynamic=True)
-    state.select(1)
-    state.select(2)
     with pytest.raises(SurvPathError, match="substitution sweep lost coverage"):
-        _substitution_sweep(state, 3, Random(0), [])
+        _substitution_sweep(mat, [1, 2], mat.all_fibers_mask, 3, Random(0))
 
 
 def test_enumeration_above_the_footprint_bound_raises(monkeypatch):
