@@ -52,7 +52,6 @@ from .model import (
     SurvivalMatrix,
     ValidationError,
     build_survival_matrix,
-    is_survivable,
     require_feasible,
     residual_survivability_check,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "PathSet",
     "SolveReport",
     "build_survival_matrix",
-    "is_survivable",
     "require_feasible",
     "residual_survivability_check",
     # pathing / formats

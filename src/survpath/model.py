@@ -41,7 +41,6 @@ __all__ = [
     "PathSet",
     "SolveReport",
     "build_survival_matrix",
-    "is_survivable",
     "residual_survivability_check",
     "require_feasible",
 ]
@@ -476,11 +475,6 @@ def build_survival_matrix(
     return SurvivalMatrix.from_fiber_sets(
         net.num_fibers, [path.fibers_used for path in paths]
     )
-
-
-def is_survivable(mat: SurvivalMatrix, paths: Iterable[int]) -> bool:
-    """Row-wise survivability check: every fiber survived by some selected path."""
-    return mat.is_survivable(paths)
 
 
 def require_feasible(mat: SurvivalMatrix) -> None:

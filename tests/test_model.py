@@ -19,7 +19,6 @@ from survpath import (
     ValidationError,
     build_survival_matrix,
     enumerate_paths_unrestricted,
-    is_survivable,
     require_feasible,
     residual_survivability_check,
 )
@@ -106,7 +105,7 @@ def test_empty_selection_on_zero_fibers_is_survivable():
 def test_disjoint_pair_is_survivable():
     mat = SurvivalMatrix.from_fiber_sets(4, [[1, 2], [3, 4]])
     assert mat.is_survivable([1, 2])
-    assert is_survivable(mat, (1, 2))
+    assert mat.is_survivable((1, 2))
 
 
 def test_survivability_matches_naive_oracle():
