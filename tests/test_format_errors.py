@@ -9,7 +9,7 @@ stderr and exit code are pinned too.
 
 The texts include the tokens ``int()`` treats specially (``²`` passes
 ``isdigit()`` but not ``int()``; ``1_0``, ``+3``, ``-1``, ``0`` and ``f01``
-parse), CRLF line endings, form feeds and other characters that
+parse), CRLF and lone-CR line endings, form feeds and other characters that
 ``str.splitlines()`` would take as line breaks, comment and blank lines inside
 a section, and a last line with no newline.
 """
@@ -118,6 +118,7 @@ SPN_ERRORS = [
     # line numbers: CRLF, form feeds and other splitlines() breaks inside a
     # line, blank and comment lines in the middle, no final newline
     ("spn 1\r\nfibers 2\r\n\r\npath 1: f1\r\npath 2: f3\r\n", "{name}:5: fiber 3 outside 1..2"),
+    ("spn 1\rfibers 3\r\rpath 1: f1\rpath 2: f4\r", "{name}:5: fiber 4 outside 1..3"),
     ("spn 1\nfibers 2\npath 1: f1\x0cf2\npath 2: f1 x\n", "{name}:4: expected fiber token like 'f3', got 'x'"),
     ("spn 1\nfibers 2\npath 1\x0c: f1\npath 2:\x1ef2\x1d\x1cf9\n", "{name}:4: fiber 9 outside 1..2"),
     ("spn 1\nfibers\x0b3\npath 1: f1\x85f2\npath 2 f3\n", "{name}:4: expected 'path <id>: f...' line, got 'path 2 f3'"),
@@ -135,6 +136,7 @@ SPN_ACCEPTED = [
     ("spn 1\nfibers 3\npath 01: f01\npath +2: f٣\n", 3, [{1}, {3}]),
     ("spn 01\nfibers 2\nw 0_1\nk +2\npath 1: f1\npath 2: f2\n", 2, [{1}, {2}]),
     ("spn 1\r\nfibers 2\r\npath 2: f2\r\npath 1:\r\n", 2, [set(), {2}]),
+    ("spn 1\rfibers 2\rpath 1: f1\rpath 2: f2\n", 2, [{1}, {2}]),
     ("spn 1\nfibers 3\npath 1: f1\x0cf3\x1ef2\npath 2:f2", 3, [{1, 2, 3}, {2}]),
     ("spn 1\nfibers 0\n", 0, []),
 ]
@@ -255,6 +257,13 @@ LNET_ACCEPTED = [
     (
         "lnet 1\r\npnodes s x t\r\npfibers\r\n2 x t\r\n1 s x\r\nlnodes s t\r\n"
         "llinks\r\n1 s t: 1\x0c2\r\nst s t\r\n",
+        2,
+        [(1, 2)],
+        False,
+    ),
+    (
+        "lnet 1\rpnodes s x t\rpfibers\r2 x t\r\n1 s x\rlnodes s t\r"
+        "llinks\r1 s t: 1 2\rst s t\r",
         2,
         [(1, 2)],
         False,
