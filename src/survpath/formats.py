@@ -30,6 +30,7 @@ write -> read -> write round-trips byte-identically.
 
 from __future__ import annotations
 
+import io
 import os
 from collections import Counter
 from contextlib import suppress
@@ -114,7 +115,8 @@ class _Lines:
 def _open_lines(source, default_name: str) -> _Lines:
     if hasattr(source, "read"):
         name = getattr(source, "name", default_name)
-        return _Lines(source, os.path.basename(str(name)))
+        # Universal newlines, as a file opened by path gets: '\r' ends a line.
+        return _Lines(io.StringIO(source.read(), newline=None), os.path.basename(str(name)))
     with open(source, "r", encoding="utf-8") as handle:
         return _Lines(handle, os.path.basename(str(source)))
 
