@@ -357,7 +357,19 @@ def read_lnet(source) -> LayeredNetwork:
 
 
 def write_lnet(net: LayeredNetwork, target) -> None:
-    """Write a layered network in canonical ``.lnet`` form."""
+    """Write a layered network in canonical ``.lnet`` form.
+
+    Raises :class:`ValidationError`, before writing anything, for a node name
+    :func:`read_lnet` could not read back: an empty one, one holding
+    whitespace, or a logical node name holding ``:``.
+    """
+    for kind, nodes in (("physical", net.physical.nodes), ("logical", net.logical.nodes)):
+        for name in nodes:
+            if name.split() != [name] or (kind == "logical" and ":" in name):
+                raise ValidationError(
+                    f"cannot write {kind} node {name!r} to .lnet: a node name must be "
+                    "nonempty and hold no whitespace, and a logical one no ':'"
+                )
     out = []
     header = f"lnet {LNET_VERSION}"
     if net.logical.directed:

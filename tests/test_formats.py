@@ -197,6 +197,46 @@ def test_lnet_directed_round_trip():
     assert again.logical.directed
 
 
+def _named_net(pnodes, lnodes) -> LayeredNetwork:
+    """One s-t fiber and one s-t link over it, with extra node names."""
+    physical = PhysicalTopology(nodes=pnodes, fibers=(("s", pnodes[-1]),))
+    logical = LogicalTopology(
+        nodes=lnodes, links=(("s", lnodes[-1]),), source="s", sink=lnodes[-1]
+    )
+    return LayeredNetwork(
+        physical=physical, logical=logical, routing=LightpathRouting(routes=((1,),))
+    )
+
+
+@pytest.mark.parametrize(
+    "net, message",
+    [
+        (_named_net(("s", "", "t"), ("s", "t")), "physical node ''"),
+        (_named_net(("s", "a b", "t"), ("s", "t")), "physical node 'a b'"),
+        (_named_net(("s", "a\x0cb", "t"), ("s", "t")), "physical node 'a\\x0cb'"),
+        (_named_net(("s", "a b", "t"), ("s", "a b", "t")), "physical node 'a b'"),
+        (_named_net(("s", "x", "t"), ("s", "x y", "t")), "logical node 'x y'"),
+        (_named_net(("s", "t:"), ("s", "t:")), "logical node 't:'"),
+    ],
+)
+def test_write_lnet_rejects_a_name_it_cannot_read_back(net, message, tmp_path):
+    buf = io.StringIO()
+    with pytest.raises(ValidationError, match=re.escape(f"cannot write {message} to .lnet")):
+        write_lnet(net, buf)
+    assert buf.getvalue() == ""
+    target = tmp_path / "net.lnet"
+    with pytest.raises(ValidationError):
+        write_lnet(net, str(target))
+    assert not target.exists()
+
+
+def test_write_lnet_keeps_a_colon_in_a_physical_only_name():
+    net = _named_net(("s", "x:", "t"), ("s", "t"))
+    buf = io.StringIO()
+    write_lnet(net, buf)
+    assert read_lnet(io.StringIO(buf.getvalue())) == net
+
+
 def test_lnet_round_trip_random_layered():
     rng = Random("lnet-roundtrip")
     for _ in range(20):
