@@ -9,7 +9,8 @@ Solvers:
 * :func:`mfsp_acg` / :func:`mfsp_nacg` — amortized-cost greedies.  Each step
   selects the path minimizing cost / newly-survived-fibers, where cost is the
   path's full fiber count (static, ACG) or only the fibers it would newly add
-  to the selection's footprint (dynamic, NACG, rewarding fiber re-use).
+  to the selection's footprint (dynamic, NACG, rewarding fiber re-use).  Both
+  run the set-cover greedy of :mod:`survpath.msp` with fiber costs.
 * :func:`mfsp_rsg` — NACG plus a randomized substitution sweep that retires an
   earlier selection dominated by the union of the newest path and a randomly
   drawn previous one.

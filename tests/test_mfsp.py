@@ -27,6 +27,7 @@ from survpath import (
     solve_mfsp_relaxation,
 )
 from survpath.instances import RandomEnsembleConfig
+from survpath.msp import _substitution_sweep
 
 from oracles import brute_mfsp, brute_min_additive, random_feasible_matrix
 
@@ -237,6 +238,18 @@ def test_rsg_removal_depends_on_drawn_partner():
     for report in (no_removal, removed_first, removed_second):
         assert report.solution.survivable
         assert report.objective == 9
+
+
+def test_substitution_sweep_retires_the_smallest_dominated_path():
+    # Path 4 uses no fiber, so with it every earlier pick is dominated: the
+    # sweep keeps the drawn peer and retires the smallest other id, which is
+    # path 1 unless path 1 was the peer.
+    mat = SurvivalMatrix.from_fiber_sets(3, [[1], [2], [3], []])
+    for seed in range(8):
+        selected = [1, 2, 3, 4]
+        victim = _substitution_sweep(mat, selected, mat.all_fibers_mask, 4, Random(seed))
+        assert victim == (2 if 1 in selected else 1)
+        assert victim not in selected and len(selected) == 3
 
 
 def test_rsg_short_runs_never_remove():
