@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from random import Random
 
 import networkx as nx
@@ -169,6 +170,24 @@ def test_invalid_cap_rejected():
     net = _chain_net(2)
     with pytest.raises(ValidationError):
         enumerate_paths_k_restricted(net, max_fibers=0)
+
+
+def test_a_huge_cap_enumerates_as_fast_as_a_cap_of_m():
+    # The footprint check bounds the footprints by m^K; at K >= m a cap above
+    # m changes neither the catalog nor the check, so it must not cost more.
+    from survpath.instances import gen_mfsp_3setcover_gadget
+
+    net, _ = gen_mfsp_3setcover_gadget(3, [(1, 2, 3), (1, 2, 3)], 15)
+    m = net.num_fibers
+    at_m = enumerate_paths_k_restricted(net, max_fibers=m)
+    start = time.perf_counter()
+    huge = enumerate_paths_k_restricted(net, max_fibers=10**7)
+    elapsed = time.perf_counter() - start
+    assert huge.paths == at_m.paths
+    assert len(huge) == 6
+    assert huge.limits == Limits(max_fibers_per_path=10**7)
+    assert huge.matrix(m) == at_m.matrix(m)
+    assert elapsed < 2.0, f"enumeration at K = 10**7 took {elapsed:.1f} s"
 
 
 def test_catalog_validates_dense_ids():
