@@ -156,12 +156,14 @@ def enumerate_paths_k_restricted(net: LayeredNetwork, max_fibers: int) -> PathCa
     A disconnected logical layer yields an empty (still complete) catalog.  The
     number of distinct fiber footprints is bounded by m^K for m fibers, which
     is checked rather than assumed.  The path count is not: parallel logical
-    links over the same fibers give distinct paths with one footprint.
+    links over the same fibers give distinct paths with one footprint.  The
+    exponent is capped at m: for K >= m >= 2 both m^m and m^K are at least
+    2^m, which already bounds the footprints, and for m <= 1 the bound is 1.
     """
     if max_fibers < 1:
         raise ValidationError("max_fibers must be >= 1")
     paths = _enumerate(net, max_fibers)
-    bound = max(net.num_fibers, 1) ** max_fibers
+    bound = max(net.num_fibers, 1) ** min(max_fibers, net.num_fibers)
     if len(paths) > bound:
         footprints = len({p.used_mask for p in paths})
         if footprints > bound:
