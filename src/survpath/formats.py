@@ -246,10 +246,8 @@ def read_spn(source) -> ParallelInstance:
                 f"the declared load cap w={w_cap}"
             )
 
-    # Bit f of the sum stands for fiber f; the mask keeps fiber f in bit f-1.
     paths = tuple(
-        LogicalPath(pid, (pid,), fibers, used_mask=sum(map((1).__lshift__, fibers)) >> 1)
-        for pid, fibers in enumerate(fiber_sets, start=1)
+        LogicalPath(pid, (pid,), fibers) for pid, fibers in enumerate(fiber_sets, start=1)
     )
     catalog = PathCatalog(paths=paths, limits=limits, complete=False)
     return ParallelInstance(num_fibers=num_fibers, catalog=catalog)

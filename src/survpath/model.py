@@ -252,8 +252,7 @@ class LogicalPath:
 
     ``used_mask`` is ``fibers_used`` as a bitmask, bit ``i-1`` for fiber ``i``
     (the encoding of :attr:`SurvivalMatrix.used_masks`).  It is derived when
-    not given; a producer that already holds the mask passes it, and then only
-    its sign and popcount are checked against ``fibers_used``.
+    not given; a given mask must equal the derived one.
     """
 
     path_id: int
@@ -264,16 +263,16 @@ class LogicalPath:
     def __post_init__(self) -> None:
         if self.path_id < 1:
             raise ValidationError("path ids are 1-based")
-        if self.used_mask is None:
-            lowest = min(self.fibers_used, default=1)
-            if lowest < 1:
-                raise ValidationError(
-                    f"path {self.path_id} uses fiber {lowest}; fiber ids are 1-based"
-                )
-            object.__setattr__(
-                self, "used_mask", sum(1 << (f - 1) for f in self.fibers_used)
+        lowest = min(self.fibers_used, default=1)
+        if lowest < 1:
+            raise ValidationError(
+                f"path {self.path_id} uses fiber {lowest}; fiber ids are 1-based"
             )
-        elif self.used_mask < 0 or self.used_mask.bit_count() != len(self.fibers_used):
+        # Bit f of the sum stands for fiber f; the mask keeps fiber f in bit f-1.
+        mask = sum(map((1).__lshift__, self.fibers_used)) >> 1
+        if self.used_mask is None:
+            object.__setattr__(self, "used_mask", mask)
+        elif self.used_mask != mask:
             raise ValidationError(
                 f"path {self.path_id}: used_mask does not encode its "
                 f"{len(self.fibers_used)} fibers"
