@@ -48,6 +48,7 @@ from .model import (
     PhysicalTopology,
     SurvivalMatrix,
     ValidationError,
+    _path_from_mask,
 )
 from .pathing import PathCatalog
 
@@ -272,9 +273,9 @@ def write_spn(instance: ParallelInstance, target) -> None:
 
 def matrix_to_instance(mat: SurvivalMatrix, limits: Limits = Limits()) -> ParallelInstance:
     """Wrap a survival matrix as a parallel instance (for saving to ``.spn``)."""
+    # The matrix has checked its masks, so the paths are built from them alone.
     paths = tuple(
-        LogicalPath(path_id=j, links=(j,), fibers_used=mat.path_fibers(j), used_mask=mask)
-        for j, mask in enumerate(mat.used_masks, start=1)
+        _path_from_mask(j, (j,), mask) for j, mask in enumerate(mat.used_masks, start=1)
     )
     catalog = PathCatalog(paths=paths, limits=limits, complete=False)
     return ParallelInstance(num_fibers=mat.num_fibers, catalog=catalog)

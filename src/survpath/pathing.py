@@ -22,6 +22,7 @@ from .model import (
     SurvivalMatrix,
     SurvPathError,
     ValidationError,
+    _path_from_mask,
 )
 
 __all__ = [
@@ -98,12 +99,11 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
         entries.sort()
 
     source, sink = net.logical.source, net.logical.sink
-    # Per link id (index 0 unused): its fiber set, and that set as a bitmask.
-    link_sets = [frozenset()]
+    # Per link id (index 0 unused): its fiber set as a bitmask.  A route may
+    # repeat a fiber, so each fiber's bit is added once.
     link_fibers = [0]
     for route in net.routing.routes:
-        link_sets.append(frozenset(route))
-        link_fibers.append(sum(1 << (f - 1) for f in link_sets[-1]))
+        link_fibers.append(sum(map((1).__lshift__, set(route))) >> 1)
 
     found: list[tuple[int, ...]] = []
     masks: list[int] = []  # masks[i] is the fiber mask of found[i]
@@ -136,18 +136,7 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
             if stack:
                 prefix.pop()
 
-    paths = []
-    for pos, (links, mask) in enumerate(zip(found, masks), start=1):
-        # Grown in a set and frozen once, as fibers_of_links does.  A frozenset
-        # built straight from a union or from fiber ids gets other table sizes,
-        # which raised peak RSS on layered-network job lists by up to 12%
-        # (CPython 3.11).
-        fibers: set[int] = set()
-        for k in links:
-            fibers |= link_sets[k]
-        # Positional: keyword arguments cost about a fifth of the constructor.
-        paths.append(LogicalPath(pos, links, frozenset(fibers), mask))
-    return paths
+    return list(map(_path_from_mask, range(1, len(found) + 1), found, masks))
 
 
 def enumerate_paths_k_restricted(net: LayeredNetwork, max_fibers: int) -> PathCatalog:
