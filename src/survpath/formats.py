@@ -43,7 +43,6 @@ from .model import (
     LayeredNetwork,
     Limits,
     LightpathRouting,
-    LogicalPath,
     LogicalTopology,
     PhysicalTopology,
     SurvivalMatrix,
@@ -247,8 +246,11 @@ def read_spn(source) -> ParallelInstance:
                 f"the declared load cap w={w_cap}"
             )
 
+    # Every fiber id is in 1..m (checked above).  Bit f of the sum stands for
+    # fiber f; the mask keeps fiber f in bit f-1.
     paths = tuple(
-        LogicalPath(pid, (pid,), fibers) for pid, fibers in enumerate(fiber_sets, start=1)
+        _path_from_mask(pid, (pid,), sum(map((1).__lshift__, fibers)) >> 1, fibers)
+        for pid, fibers in enumerate(fiber_sets, start=1)
     )
     catalog = PathCatalog(paths=paths, limits=limits, complete=False)
     return ParallelInstance(num_fibers=num_fibers, catalog=catalog)

@@ -301,16 +301,25 @@ class LogicalPath:
 _new_object = object.__new__
 _set_path_id = LogicalPath.path_id.__set__
 _set_links = LogicalPath.links.__set__
+_set_fibers_used = LogicalPath.fibers_used.__set__
 _set_used_mask = LogicalPath.used_mask.__set__
 
 
-def _path_from_mask(path_id: int, links: tuple[int, ...], used_mask: int) -> LogicalPath:
-    """A path whose mask the caller vouches for: no ``__init__``, no checks,
-    and ``fibers_used`` left for :meth:`LogicalPath.__getattr__` to derive."""
+def _path_from_mask(
+    path_id: int,
+    links: tuple[int, ...],
+    used_mask: int,
+    fibers_used: frozenset[int] | None = None,
+) -> LogicalPath:
+    """A path whose fields the caller has checked: no ``__init__`` and no
+    checks.  Without ``fibers_used``, :meth:`LogicalPath.__getattr__` derives
+    it from the mask when it is first read."""
     path = _new_object(LogicalPath)
     _set_path_id(path, path_id)
     _set_links(path, links)
     _set_used_mask(path, used_mask)
+    if fibers_used is not None:
+        _set_fibers_used(path, fibers_used)
     return path
 
 
