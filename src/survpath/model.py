@@ -298,7 +298,6 @@ class LogicalPath:
         return self.used_mask.bit_count()
 
 
-_new_object = object.__new__
 _set_path_id = LogicalPath.path_id.__set__
 _set_links = LogicalPath.links.__set__
 _set_fibers_used = LogicalPath.fibers_used.__set__
@@ -314,7 +313,7 @@ def _path_from_mask(
     """A path whose fields the caller has checked: no ``__init__`` and no
     checks.  Without ``fibers_used``, :meth:`LogicalPath.__getattr__` derives
     it from the mask when it is first read."""
-    path = _new_object(LogicalPath)
+    path = object.__new__(LogicalPath)
     _set_path_id(path, path_id)
     _set_links(path, links)
     _set_used_mask(path, used_mask)
