@@ -298,6 +298,8 @@ class LogicalPath:
         return self.used_mask.bit_count()
 
 
+# The slots' own setters: they bypass the frozen __setattr__, as
+# object.__setattr__ does, and cost less per call.
 _set_path_id = LogicalPath.path_id.__set__
 _set_links = LogicalPath.links.__set__
 _set_fibers_used = LogicalPath.fibers_used.__set__
