@@ -81,6 +81,20 @@ def test_setcover_objective_matches_highs(seed):
     assert_agrees(gen_from_setcover(ground, subsets))
 
 
+@pytest.mark.parametrize("size", [8, 12, 16, 20])
+def test_dense_setcover_objective_matches_highs(size):
+    # Each subset holds about a quarter of the ground set, so each path uses
+    # about 3/4 of the fibers: every pivot touches most of a row.  Subset j
+    # holds element j, so the instance is feasible.
+    rng = Random(f"highs-dense:{size}")
+    q = size // 4
+    subsets = [
+        {j, *rng.sample(range(1, size + 1), rng.randint(q - 1, q))}
+        for j in range(1, size + 1)
+    ]
+    assert_agrees(gen_from_setcover(size, subsets))
+
+
 def test_infeasible_instances_agree():
     # Fiber 1 is used by every path: HiGHS and the exact solver both refuse.
     mat = SurvivalMatrix.from_fiber_sets(3, [[1, 2], [1], [1, 3]])

@@ -130,3 +130,36 @@ def test_lingering_artificial_vertex_is_pinned(
 ):
     mat = SurvivalMatrix.from_fiber_sets(num_fibers, fiber_sets)
     _assert_vertex(mat, path_text, fiber_text)
+
+
+# (ground size, seed tag, path_exact, fiber_exact): each subset holds about a
+# quarter of the ground set, so each path uses about 3/4 of the fibers.
+DENSE_PINS = [
+    (
+        16, "h",
+        "1/2 1/2 1/2 1/2 1/2 1 1/2 1/2 1/2 1/2 1/2 1/2 1/2 1/2 1/2 1/2",
+        "1 1 1 1 1/2 1 1 1/2 1 1/2 1 1 1 1 1 1/2",
+    ),
+    (
+        20, "d",
+        "1/3 1/3 1/3 1/3 1/3 1/3 1/2 1/2 1/3 1/3 1/3 1/3 1/3 1/3 1/3 1/3 1/3 "
+        "1/3 1/3 1/3",
+        "1/2 1/2 1/2 1/2 1/2 1/3 1/2 1/2 1/2 1/2 1/3 1/2 1/2 1/2 1/2 1/2 1/2 "
+        "1/2 1/2 1/2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "size, tag, path_text, fiber_text",
+    DENSE_PINS,
+    ids=[f"{size}x{size}-{tag}" for size, tag, _, _ in DENSE_PINS],
+)
+def test_dense_setcover_vertex_is_pinned(size, tag, path_text, fiber_text):
+    rng = Random(f"pin-dense:{size}:{tag}")
+    q = size // 4
+    subsets = [
+        sorted(rng.sample(range(1, size + 1), rng.randint(q - 1, q + 1)))
+        for _ in range(size)
+    ]
+    _assert_vertex(gen_from_setcover(size, subsets), path_text, fiber_text)
