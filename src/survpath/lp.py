@@ -12,10 +12,13 @@ vector drives the randomized-rounding solver.
 
 The solver is a deterministic two-phase simplex with Bland's rule, so it never
 cycles.  Its tableau keeps each row as Python-int numerators over one positive
-int denominator (integer-preserving elimination): a pivot rescales only the
-rows with a nonzero in the entering column, updates them only at the pivot
-row's nonzeros, and divides each by its gcd.  The arithmetic is exact, so the
-result carries no floating-point noise; values become
+int denominator (integer-preserving elimination, after Bareiss 1968): a pivot
+updates only the rows with a nonzero in the entering column, and only at the
+pivot row's nonzeros.  When the gcd-reduced pivot element is 1, as it is on
+most pivots, that update is done in place with no rescale; otherwise each
+updated row is rescaled by the pivot element and divided by its gcd.  The
+arithmetic is exact, so the result carries no floating-point noise; the
+optimum is certified with integer sums, and values become
 :class:`fractions.Fraction` only at the output.  It is intended for the
 desk-scale instances this package targets, not industrial LPs.
 """
@@ -58,9 +61,13 @@ class _Tableau:
 
     Row ``r`` stands for ``rows[r][j] / dens[r]`` with Python-int numerators
     and a positive int denominator; the rhs sits in the last cell.  The z row
-    is kept the same way in ``z`` / ``zden``.  Every row is reduced by the gcd
-    of its denominator and numerators after each update, so the arithmetic is
-    exact without :class:`fractions.Fraction` objects in the inner loop.
+    is kept the same way in ``z`` / ``zden``.  The arithmetic is exact without
+    :class:`fractions.Fraction` objects in the inner loop.  A row's
+    denominator changes only when a pivot element other than 1 rescales it,
+    and that rescale is followed by a gcd reduction, so numerators stay
+    bounded even though rows updated in place are not reduced.  Ratios and
+    signs, the only things the pivot rules read, do not depend on a row's
+    scale.
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int]):
@@ -84,22 +91,36 @@ class _Tableau:
         self.z, self.zden = _reduced(z, zden)
 
     def pivot(self, r: int, col: int) -> None:
-        row = self.rows[r]
+        """Make ``col`` basic in row ``r``.
+
+        The pivot row is scaled so its entry at ``col`` is its denominator
+        ``piv``; every other row with a nonzero at ``col`` (the z row
+        included, appended for the duration) then loses ``factor / piv``
+        times it, touching only the pivot row's nonzeros.  With ``piv == 1``
+        that is an in-place integer update; otherwise the row is rescaled by
+        ``piv`` first and gcd-reduced after.
+        """
+        rows, dens = self.rows, self.dens
+        row = rows[r]
         piv = row[col]
         if piv < 0:
             row = [-v for v in row]
             piv = -piv
         row, piv = _reduced(row, piv)
-        self.rows[r] = row
-        self.dens[r] = piv
-        nonzero = [j for j, v in enumerate(row) if v]
-        for rr, other in enumerate(self.rows):
-            if rr != r and other[col]:
-                self.rows[rr], self.dens[rr] = _eliminate(
-                    other, self.dens[rr], row, piv, col, nonzero
-                )
-        if self.z[col]:
-            self.z, self.zden = _eliminate(self.z, self.zden, row, piv, col, nonzero)
+        rows[r], dens[r] = row, piv
+        nonzero = [(j, v) for j, v in enumerate(row) if v]
+        rows.append(self.z)
+        dens.append(self.zden)
+        for rr, other in enumerate(rows):
+            factor = other[col]
+            if factor and rr != r:
+                if piv != 1:
+                    other = [v * piv for v in other]
+                for j, v in nonzero:
+                    other[j] -= factor * v
+                if piv != 1:
+                    rows[rr], dens[rr] = _reduced(other, dens[rr] * piv)
+        self.z, self.zden = rows.pop(), dens.pop()
         self.basis[r] = col
 
     def optimize(self, allowed: int) -> None:
@@ -143,36 +164,26 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     return [v // g for v in row], den // g
 
 
-def _eliminate(
-    row: list[int], den: int, prow: list[int], pden: int, col: int, nonzero: list[int]
-) -> tuple[list[int], int]:
-    """Subtract ``row[col]/pden`` times the pivot row ``prow`` (whose entry at
-    ``col`` equals ``pden``) from ``row``, touching only the pivot row's
-    nonzeros; the row is rescaled by ``pden`` first when it is not 1."""
-    factor = row[col]
-    if pden != 1:
-        row = [v * pden for v in row]
-        den *= pden
-    for j in nonzero:
-        row[j] -= factor * prow[j]
-    return _reduced(row, den)
-
-
 def _certify(
     mat: SurvivalMatrix, p: Sequence[Fraction], f: Sequence[Fraction]
 ) -> None:
     """Raise :class:`SurvPathError` unless ``(p, f)`` satisfies every
-    constraint of the relaxation exactly."""
+    constraint of the relaxation exactly.
+
+    The cover and link rows are checked on integer numerators over one
+    common denominator ``den``, so no :class:`Fraction` is summed."""
     for j, pj in enumerate(p, start=1):
         if not 0 <= pj <= 1:
             raise SurvPathError(f"path value p_{j} = {pj} out of [0,1]")
-    for i in range(1, mat.num_fibers + 1):
-        survivors = mat.survivor_row(i)
-        if sum(pj for j, pj in enumerate(p) if survivors >> j & 1) < 1:
+    den = math.lcm(*(v.denominator for v in p), *(v.denominator for v in f))
+    p_num = [v.numerator * (den // v.denominator) for v in p]
+    f_num = [v.numerator * (den // v.denominator) for v in f]
+    for i, survivors in enumerate(mat.survive_rows, start=1):
+        if sum(p_num[j - 1] for j in _bit_ids(survivors)) < den:
             raise SurvPathError(f"cover row {i} violated at the claimed optimum")
-    for j, pj in enumerate(p, start=1):
+    for j, pj in enumerate(p_num, start=1):
         for i in mat.path_fibers(j):
-            if f[i - 1] < pj:
+            if f_num[i - 1] < pj:
                 raise SurvPathError(f"link row f_{i} >= p_{j} violated")
 
 
@@ -259,12 +270,14 @@ def solve_mfsp_relaxation(mat: SurvivalMatrix) -> FractionalSolution:
     tab.set_cost(cost2)
     tab.optimize(allowed=col_art)
 
+    # Only the p and f columns are reported; slacks and surpluses stay ints.
     zero = Fraction(0)
-    values = [zero] * col_art
+    values = [zero] * col_surp
     for r, b in enumerate(tab.basis):
-        values[b] = Fraction(tab.rows[r][-1], tab.dens[r])
+        if b < col_surp:
+            values[b] = Fraction(tab.rows[r][-1], tab.dens[r])
     p_exact = tuple(values[:n])
-    f_exact = tuple(values[col_f : col_f + m])
+    f_exact = tuple(values[col_f:])
     _certify(mat, p_exact, f_exact)
 
     objective = float(sum(f_exact, zero))
