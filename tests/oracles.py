@@ -52,6 +52,33 @@ def brute_msp(mat: SurvivalMatrix) -> tuple[int, tuple[int, ...]] | None:
     return None
 
 
+def brute_completion_cost(
+    mat: SurvivalMatrix, covered: int, union: int, eligible: int, fiber_weight: int
+) -> int | None:
+    """Least further cost of a survivable completion of a partial selection.
+
+    The selection has survived the fibers of mask ``covered`` and used those
+    of mask ``union``; the completion adds a subset of the paths in mask
+    ``eligible`` (bit j-1 is path j).  Each added path costs 1, and each fiber
+    it adds to ``union`` costs ``fiber_weight``.  Tries every subset; returns
+    None when no subset survives every fiber.
+    """
+    full = mat.all_fibers_mask
+    ids = [j for j in range(1, mat.num_paths + 1) if eligible >> (j - 1) & 1]
+    best = None
+    for r in range(len(ids) + 1):
+        for combo in combinations(ids, r):
+            cover, fibers = covered, union
+            for j in combo:
+                cover |= mat.survive_mask(j)
+                fibers |= mat.used_mask(j)
+            if cover == full:
+                cost = r + fiber_weight * (fibers & ~union).bit_count()
+                if best is None or cost < best:
+                    best = cost
+    return best
+
+
 def brute_mfsp(mat: SurvivalMatrix) -> tuple[int, tuple[int, ...]] | None:
     """Minimum distinct-fiber survivable set; ties by set size then lex ids."""
     full = mat.all_fibers_mask

@@ -35,9 +35,9 @@ from survpath import (
     msp_exact,
 )
 from survpath.model import LogicalPath
-from survpath.msp import _greedy, _substitution_sweep
+from survpath.msp import _Budget, _greedy, _min_cover_size, _substitution_sweep
 
-from oracles import random_feasible_matrix
+from oracles import brute_completion_cost, random_feasible_matrix
 
 
 def test_msp_exact_rejects_a_size_with_no_witness(pairwise3, monkeypatch):
@@ -220,3 +220,35 @@ def test_negative_node_limit_is_rejected_before_the_feasibility_check(
 ):
     with pytest.raises(PreconditionError, match="node_limit"):
         solve(uncoverable, node_limit=-3)
+
+
+def test_min_cover_size_returns_the_least_completion_cost_below_best():
+    # From a random partial selection, the search returns min(best, least
+    # further cost) for either fiber weight, with best just below, at or above
+    # that cost, and whether or not it may stop early at the cost itself.
+    rng = Random(20261019)
+    for _ in range(300):
+        mat = random_feasible_matrix(rng, max_paths=10, max_fibers=10, min_paths=1)
+        n = mat.num_paths
+        covered = union = 0
+        for j in rng.sample(range(1, n + 1), rng.randint(0, n - 1)):
+            covered |= mat.survive_mask(j)
+            union |= mat.used_mask(j)
+        eligible = rng.getrandbits(n)
+        for weight in (0, n + 1):
+            least = brute_completion_cost(mat, covered, union, eligible, weight)
+            if least is None:
+                cases = [(best, 0) for best in range(1, 5)]
+            else:
+                cases = [
+                    (best, floor)
+                    for best in range(least - 1, least + 4)
+                    for floor in (0, least)
+                ]
+            for best, floor in cases:
+                got = _min_cover_size(
+                    mat, covered, eligible, best, _Budget(None), floor, union, weight
+                )
+                expected = best if least is None else min(best, least)
+                state = (mat.used_masks, covered, union, eligible, weight, best, floor)
+                assert got == expected, state
