@@ -9,7 +9,9 @@ survives.  Three solvers are provided:
   per-path fiber cap K the optimum has at most K+1 paths; with a per-fiber load
   cap W, at most W+1 (any W+1 distinct paths already form a survivable set,
   since a fiber carried by at most W paths cannot be used by all of them).
-  MFSP's exact solver runs the same search with a fiber weight.
+  A node with room for one more path only is settled by intersecting the
+  survivor rows of its open fibers, with no child visited.  MFSP's exact
+  solver runs the same search with a fiber weight.
 * :func:`msp_greedy` — max-coverage greedy, ties to the smallest path id: the
   one set-cover greedy, :func:`_greedy`, at unit path cost.  MFSP's greedies
   run it with fiber costs.
@@ -258,7 +260,11 @@ def _min_cover_size(
     Branch-and-bound that branches on an uncovered fiber with the fewest
     eligible survivors (ties to the lowest fiber); each candidate is excluded
     from later siblings, which partitions the subset space and visits every
-    survivable set at most once.
+    survivable set at most once.  A node with ``cost + 2 >= best`` has room
+    for one more path at most, since every path costs at least 1: it ANDs
+    the open fibers' survivor rows into ``eligible``, stops once that is
+    empty, and otherwise takes the cheapest survivor of them all as the
+    completion, without visiting a child.
     """
     full = mat.all_fibers_mask
     survive = mat.survive_masks
@@ -274,6 +280,25 @@ def _min_cover_size(
         if cost + 1 >= best:
             return
         uncovered = full & ~covered
+        if cost + 2 >= best:
+            # Room for one more path only: it must survive every open fiber.
+            last = eligible
+            probe = uncovered
+            while probe:
+                low = probe & -probe
+                last &= rows[low.bit_length() - 1]
+                if not last:
+                    return
+                probe ^= low
+            if not fiber_weight:
+                best = cost + 1
+                return
+            while last:
+                low = last & -last
+                new = (used[low.bit_length() - 1] & ~union).bit_count()
+                best = min(best, cost + 1 + fiber_weight * new)
+                last ^= low
+            return
         # An uncovered fiber with no eligible survivor makes this a dead end.
         branch_row = 0
         fewest = eligible.bit_count() + 1
