@@ -205,3 +205,94 @@ def test_negative_node_limit_exits_64(args):
     proc = run_cli(*args, "--node-limit", "-3")
     assert proc.returncode == 64, proc.stderr
     assert "node_limit" in proc.stderr
+
+
+BAD_SPN = "spn 1\nfibers 2\npath 1: f1 f9\n"
+BENCH_SMALL = ("bench", "--paths", "6", "--fibers", "8", "--trials", "1")
+
+# Every error path's exact stderr and exit code: (argv, exit code, stderr,
+# stdout).  ``{missing}`` and ``{bad}`` stand for a missing file and a file
+# that fails to parse.
+ERROR_TABLE = [
+    (
+        ("solve", "msp", "--alg", "greedy", "--in", UNCOVERABLE), 2,
+        "survpath solve: infeasible: instance is infeasible: fiber 1 is used by "
+        "every path, so no path set survives its failure\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "epsnet", "--in", PAIRWISE3, "--seed", "0", "--c", "0.05"), 3,
+        "survpath solve: randomized search failed (seed=0): no survivable sample "
+        "after 14 rounds across all size guesses\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "exact", "--in", PAIRWISE3, "--node-limit", "0"), 3,
+        "survpath solve: exact search exceeded its node budget after 1 nodes\n", "",
+    ),
+    (
+        ("solve", "mfsp", "--alg", "exact", "--in", PAIRWISE3, "--node-limit", "2"), 3,
+        "survpath solve: exact search exceeded its node budget after 3 nodes\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "exact", "--in", "{missing}"), 64,
+        "survpath solve: cannot read instance: [Errno 2] No such file or "
+        "directory: '{missing}'\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "exact", "--in", "{bad}"), 64,
+        "survpath solve: error: bad.spn:3: fiber 9 outside 1..2\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "nope", "--in", PAIRWISE3), 64,
+        "survpath solve: error: algorithm 'nope' is not a msp solver "
+        "(choose from exact, greedy, epsnet)\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "exact", "--in", PAIRWISE3, "--repair"), 64,
+        "survpath solve: error: --repair only applies to 'mfsp --alg rr'\n", "",
+    ),
+    (
+        ("verify", "--in", PAIRWISE3, "--paths", "1,x"), 64,
+        "survpath verify: error: cannot parse --paths '1,x'\n", "",
+    ),
+    (
+        ("verify", "--in", PAIRWISE3, "--paths", "1,9"), 64,
+        "survpath verify: error: unknown path id 9\n", "",
+    ),
+    (
+        ("verify", "--in", PAIRWISE3, "--paths", "1,2"), 2,
+        "", "not survivable: uncovered fibers: 2\n",
+    ),
+    (
+        ("verify", "--in", "{missing}", "--paths", "1"), 64,
+        "survpath verify: cannot read instance: [Errno 2] No such file or "
+        "directory: '{missing}'\n", "",
+    ),
+    (
+        (*BENCH_SMALL, "--w-range", "3..2"), 64,
+        "survpath bench: error: bad --w-range '3..2': need 1 <= A <= B\n", "",
+    ),
+    (
+        (*BENCH_SMALL, "--w-range", "x"), 64,
+        "survpath bench: error: cannot parse --w-range 'x'; expected A..B\n", "",
+    ),
+    (
+        (*BENCH_SMALL, "--w-range", "2..2", "--algs", ","), 64,
+        "survpath bench: error: --algs must name at least one algorithm\n", "",
+    ),
+    (
+        (*BENCH_SMALL, "--w-range", "2..2", "--algs", "bogus"), 64,
+        "survpath bench: error: algorithm 'bogus' is not a mfsp solver "
+        "(choose from exact, acg, nacg, rsg, rr, epsnet)\n", "",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, code, stderr, stdout", ERROR_TABLE)
+def test_error_paths_print_exact_messages_and_exit_codes(tmp_path, args, code, stderr, stdout):
+    bad = tmp_path / "bad.spn"
+    bad.write_text(BAD_SPN)
+    names = {"missing": str(tmp_path / "missing.spn"), "bad": str(bad)}
+    proc = run_cli(*(arg.format(**names) for arg in args))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (
+        code, stderr.format(**names), stdout
+    )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import time
 from random import Random
 
@@ -14,6 +16,7 @@ from survpath import (
     gen_random_parallel,
     mfsp_exact,
     msp_exact,
+    write_lnet,
 )
 from survpath.instances import RandomEnsembleConfig
 
@@ -263,3 +266,41 @@ def test_decode_rejects_objectives_not_from_a_gadget():
         decode_gadget_objective(45, 3, 15, [[1, 2, 3], [1, 2, 3]])
     with pytest.raises(ValidationError):
         decode_gadget_objective(16, 3, 15, [[1, 2, 3], [1, 2, 3]])
+
+
+# The gadget-mfsp shape: 12 elements, 15 triples, the shortest legal chain.
+GADGET_MFSP_TRIPLES = [
+    [5, 6, 10], [9, 11, 12], [1, 4, 8], [1, 3, 11], [2, 6, 8], [4, 7, 9],
+    [2, 4, 10], [1, 4, 7], [3, 5, 7], [2, 3, 12], [8, 10, 12], [1, 3, 12],
+    [1, 4, 11], [3, 5, 12], [4, 6, 9],
+]
+
+
+@pytest.mark.parametrize(
+    "elements, triples, chain, lnet_sha256, masks",
+    [
+        (
+            3, [[1, 2, 3], [1, 2, 3]], 15,
+            "de606ebaa12355f83d1edf68e9804bd0ff35f89211e25360ab476be09c5ae874",
+            [0x52410000FFFF, 0x4C820000FFFF, 0x35040000FFFF,
+             0x5248FFFF0000, 0x4C90FFFF0000, 0x3520FFFF0000],
+        ),
+        (
+            12, GADGET_MFSP_TRIPLES, 81,
+            "402cedca3477b5f6ab6f65677920c3c9d5174d1fb0c06c914a2aa389d53158b4",
+            "7f8a5107fd82f1c7511177811963a6cf973018b00dd910d121b4fb5515a32b81",
+        ),
+    ],
+)
+def test_gadget_text_and_catalog_masks_are_pinned(elements, triples, chain, lnet_sha256, masks):
+    # Any rewrite of the generator must emit the same network, fiber for
+    # fiber and link for link, and so the same candidate paths.
+    net, catalog = gen_mfsp_3setcover_gadget(elements, triples, chain)
+    buf = io.StringIO()
+    write_lnet(net, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == lnet_sha256
+    got = [p.used_mask for p in catalog.paths]
+    if isinstance(masks, str):
+        assert len(got) == 3 * len(triples)
+        got = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert got == masks
