@@ -73,6 +73,10 @@ class InfeasibleInstanceError(SurvPathError):
             "so no path set survives its failure"
         )
 
+    def __reduce__(self):
+        # Rebuilt from its field, not its message, when a worker sends it back.
+        return type(self), (self.fiber,)
+
 
 class PreconditionError(SurvPathError, ValueError):
     """An operation requires a declared limit (or other setup) that is missing."""
@@ -86,7 +90,11 @@ class RandomizedFailureError(SurvPathError):
 
     def __init__(self, seed: int, detail: str) -> None:
         self.seed = seed
+        self.detail = detail
         super().__init__(f"randomized search failed (seed={seed}): {detail}")
+
+    def __reduce__(self):
+        return type(self), (self.seed, self.detail)
 
 
 class SearchBudgetExceeded(SurvPathError):
@@ -95,6 +103,9 @@ class SearchBudgetExceeded(SurvPathError):
     def __init__(self, nodes: int) -> None:
         self.nodes = nodes
         super().__init__(f"exact search exceeded its node budget after {nodes} nodes")
+
+    def __reduce__(self):
+        return type(self), (self.nodes,)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import statistics
 import pytest
 
 from survpath import (
+    InfeasibleInstanceError,
     Limits,
     PreconditionError,
     SurvivalMatrix,
@@ -215,3 +216,18 @@ def test_negative_node_limit_is_rejected_without_an_exact_solver():
             problem="msp", num_paths=6, num_fibers=8, w_values=(2,), trials=1,
             node_limit=-3,
         )
+
+
+def test_errors_do_not_depend_on_the_worker_count():
+    # Two paths on three fibers under W=2 draw infeasible instances: the
+    # greedies' error must read the same from worker processes as in-process.
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(InfeasibleInstanceError) as info:
+            run_experiment(
+                problem="mfsp", num_paths=2, num_fibers=3, w_values=(2,), trials=5,
+                workers=workers,
+            )
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("instance is infeasible: fiber 1 is used by every path")

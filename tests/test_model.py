@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from itertools import combinations
 from random import Random
 
@@ -14,7 +15,9 @@ from survpath import (
     PathSet,
     PhysicalTopology,
     PreconditionError,
+    RandomizedFailureError,
     RoutingIntegrityError,
+    SearchBudgetExceeded,
     SurvivalMatrix,
     ValidationError,
     build_survival_matrix,
@@ -363,3 +366,20 @@ def test_solve_report_serialization(pairwise3):
     assert payload["survivable"] is True
     timed = report.to_dict(include_timing=True)
     assert timed["elapsed_us"] == 250000
+
+
+@pytest.mark.parametrize(
+    "exc, attribute, value",
+    [
+        (InfeasibleInstanceError(4), "fiber", 4),
+        (RandomizedFailureError(7, "no survivable sample"), "seed", 7),
+        (SearchBudgetExceeded(12), "nodes", 12),
+    ],
+)
+def test_errors_survive_pickling(exc, attribute, value):
+    # Worker processes send their errors back pickled; the copy must keep
+    # the message and the field it was built from.
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is type(exc)
+    assert str(copy) == str(exc)
+    assert getattr(copy, attribute) == value
