@@ -85,9 +85,7 @@ SOLVERS: dict[tuple[str, str], Callable[..., SolveReport]] = {
             relaxation=relaxation,
         )
     ),
-    ("mfsp", "epsnet"): lambda mat, limits, seed, c, **_: mfsp_epsnet(
-        mat, limits if limits is not None else Limits(), seed, c=c
-    ),
+    ("mfsp", "epsnet"): lambda mat, limits, seed, c, **_: mfsp_epsnet(mat, limits, seed, c=c),
 }
 PROBLEMS = tuple(dict.fromkeys(problem for problem, _ in SOLVERS))
 # The grid run_experiment (and so ``survpath bench``) runs when no algorithms

@@ -31,7 +31,6 @@ from .formats import read_lnet, read_spn
 from .model import (
     InfeasibleInstanceError,
     Limits,
-    PreconditionError,
     RandomizedFailureError,
     SearchBudgetExceeded,
     SurvPathError,
@@ -61,7 +60,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="survpath", description="Survivable path set solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", parents=[], help="solve one instance")
+    solve = sub.add_parser("solve", help="solve one instance")
     solve.add_argument("problem", choices=bench_mod.PROBLEMS)
     solve.add_argument("--alg", required=True, help="algorithm name")
     solve.add_argument("--in", dest="infile", required=True, help="instance file")
@@ -119,52 +118,25 @@ def _load_matrix(
     return matrix, limits
 
 
-def _cmd_solve(args) -> int:
-    try:
-        # Name and --repair checks come before the instance file is read.
-        bench_mod.check_algorithms(args.problem, (args.alg,))
-        if args.repair and (args.problem, args.alg) != ("mfsp", "rr"):
-            raise ValidationError("--repair only applies to 'mfsp --alg rr'")
-        matrix, limits = _load_matrix(args.infile, args.k, args.w)
-        report = bench_mod.solve_named(
-            args.problem,
-            args.alg,
-            matrix,
-            limits,
-            seed=args.seed,
-            q=args.q,
-            c=args.c,
-            node_limit=args.node_limit,
-            repair=args.repair,
-        )
-    except InfeasibleInstanceError as exc:
-        print(f"survpath solve: infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except RandomizedFailureError as exc:
-        print(f"survpath solve: {exc}", file=sys.stderr)
-        return EXIT_RANDOM_FAILURE
-    except SearchBudgetExceeded as exc:
-        print(f"survpath solve: {exc}", file=sys.stderr)
-        return EXIT_RANDOM_FAILURE
-    except OSError as exc:
-        print(f"survpath solve: cannot read instance: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, ValidationError) as exc:
-        print(f"survpath solve: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+def _cmd_solve(args) -> tuple[int, str]:
+    # Name and --repair checks come before the instance file is read.
+    bench_mod.check_algorithms(args.problem, (args.alg,))
+    if args.repair and (args.problem, args.alg) != ("mfsp", "rr"):
+        raise ValidationError("--repair only applies to 'mfsp --alg rr'")
+    matrix, limits = _load_matrix(args.infile, args.k, args.w)
+    report = bench_mod.solve_named(
+        args.problem, args.alg, matrix, limits, seed=args.seed, q=args.q, c=args.c,
+        node_limit=args.node_limit, repair=args.repair,
+    )
     if args.out == "json":
         payload = report.to_dict(include_timing=args.measure_time)
         payload["alg"] = args.alg
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         row = bench_mod.BenchRow.from_report(args.alg, report, limits, trial=1)
-        print(",".join(bench_mod.CSV_COLUMNS))
-        print(",".join(row.csv_cells(include_timing=args.measure_time)))
-
-    if not report.solution.survivable:
-        return EXIT_RANDOM_FAILURE
-    return EXIT_OK
+        cells = row.csv_cells(include_timing=args.measure_time)
+        out = ",".join(bench_mod.CSV_COLUMNS) + "\n" + ",".join(cells) + "\n"
+    return (EXIT_OK if report.solution.survivable else EXIT_RANDOM_FAILURE), out
 
 
 def _parse_w_range(text: str) -> tuple[int, ...]:
@@ -181,69 +153,62 @@ def _parse_w_range(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _cmd_bench(args) -> int:
-    try:
-        w_values = _parse_w_range(args.w_range)
-        algs = None
-        if args.algs is not None:
-            algs = tuple(token.strip() for token in args.algs.split(",") if token.strip())
-            if not algs:
-                raise ValidationError("--algs must name at least one algorithm")
-        result = bench_mod.run_experiment(
-            problem=args.problem,
-            algs=algs,
-            num_paths=args.paths,
-            num_fibers=args.fibers,
-            w_values=w_values,
-            max_fibers_per_path=args.k,
-            trials=args.trials,
-            seed=args.seed,
-            q=args.q,
-            c=args.c,
-            node_limit=args.node_limit,
-        )
-    except ValidationError as exc:
-        print(f"survpath bench: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    sys.stdout.write(result.to_csv(include_timing=args.measure_time))
-    return EXIT_OK
+def _cmd_bench(args) -> tuple[int, str]:
+    w_values = _parse_w_range(args.w_range)
+    algs = None
+    if args.algs is not None:
+        algs = tuple(token.strip() for token in args.algs.split(",") if token.strip())
+        if not algs:
+            raise ValidationError("--algs must name at least one algorithm")
+    result = bench_mod.run_experiment(
+        problem=args.problem, algs=algs, num_paths=args.paths, num_fibers=args.fibers,
+        w_values=w_values, max_fibers_per_path=args.k, trials=args.trials, seed=args.seed,
+        q=args.q, c=args.c, node_limit=args.node_limit,
+    )
+    return EXIT_OK, result.to_csv(include_timing=args.measure_time)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
+    matrix, _ = _load_matrix(args.infile, None, None)
+    tokens = [token.strip() for token in args.paths.split(",") if token.strip()]
     try:
-        matrix, _ = _load_matrix(args.infile, None, None)
-        tokens = [token.strip() for token in args.paths.split(",") if token.strip()]
-        try:
-            ids = [int(token) for token in tokens]
-        except ValueError:
-            raise ValidationError(f"cannot parse --paths {args.paths!r}") from None
-        uncovered = matrix.uncovered_fibers(ids)
-    except OSError as exc:
-        print(f"survpath verify: cannot read instance: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, ValidationError) as exc:
-        print(f"survpath verify: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        ids = [int(token) for token in tokens]
+    except ValueError:
+        raise ValidationError(f"cannot parse --paths {args.paths!r}") from None
+    uncovered = matrix.uncovered_fibers(ids)
     if uncovered:
         listed = " ".join(str(f) for f in uncovered)
-        print(f"not survivable: uncovered fibers: {listed}")
-        return EXIT_INFEASIBLE
-    print(f"survivable: {len(ids)} paths cover all {matrix.num_fibers} fibers")
-    return EXIT_OK
+        return EXIT_INFEASIBLE, f"not survivable: uncovered fibers: {listed}\n"
+    return EXIT_OK, f"survivable: {len(ids)} paths cover all {matrix.num_fibers} fibers\n"
+
+
+_COMMANDS = {"solve": _cmd_solve, "bench": _cmd_bench, "verify": _cmd_verify}
+
+# The one map from errors to exit codes: the first row whose type matches
+# gives the stderr label and the code.  A command returns its output rather
+# than printing it, so a failed write to stdout is never taken for one of
+# these.
+_ERRORS = (
+    (InfeasibleInstanceError, "infeasible: ", EXIT_INFEASIBLE),
+    ((RandomizedFailureError, SearchBudgetExceeded), "", EXIT_RANDOM_FAILURE),
+    (OSError, "cannot read instance: ", EXIT_USAGE),
+    # Anything not mapped more precisely above is an input problem.
+    (SurvPathError, "error: ", EXIT_USAGE),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-    except SurvPathError as exc:
-        # Anything not mapped more precisely above is an input problem.
-        print(f"survpath: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    raise AssertionError("unreachable: argparse enforces a known subcommand")
+        code, out = _COMMANDS[args.command](args)
+    except (SurvPathError, OSError) as exc:
+        # Only opening an instance file raises an OSError naming a file; any
+        # other OSError is not the input's fault and propagates.
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
+        for kind, label, code in _ERRORS:
+            if isinstance(exc, kind):
+                print(f"survpath {args.command}: {label}{exc}", file=sys.stderr)
+                return code
+    sys.stdout.write(out)
+    return code

@@ -47,6 +47,7 @@ from .model import (
     PhysicalTopology,
     SurvivalMatrix,
     ValidationError,
+    _fiber_mask,
     _path_from_mask,
 )
 from .pathing import PathCatalog
@@ -246,10 +247,9 @@ def read_spn(source) -> ParallelInstance:
                 f"the declared load cap w={w_cap}"
             )
 
-    # Every fiber id is in 1..m (checked above).  Bit f of the sum stands for
-    # fiber f; the mask keeps fiber f in bit f-1.
+    # Every fiber id is in 1..m (checked above).
     paths = tuple(
-        _path_from_mask(pid, (pid,), sum(map((1).__lshift__, fibers)) >> 1, fibers)
+        _path_from_mask(pid, (pid,), _fiber_mask(fibers), fibers)
         for pid, fibers in enumerate(fiber_sets, start=1)
     )
     catalog = PathCatalog(paths=paths, limits=limits, complete=False)

@@ -196,67 +196,39 @@ def gen_mfsp_3setcover_gadget(
         raise ValidationError(
             f"chain_length must be >= 3*elements + 3*triples = {min_chain}"
         )
-    L = chain_length
-
-    pnodes: list[str] = ["s"]
+    pnodes = ["s"]
     fibers: list[tuple[str, str]] = []
-    for j in range(1, n + 1):
-        pnodes.extend(f"c{j}_{x}" for x in range(1, L + 1))
-        pnodes.append(f"u{j}")
-    for i in range(1, m + 1):
-        pnodes.append(f"v{i}")
-    pnodes.append("r")
-    pnodes.extend(f"w{i}" for i in range(1, m))
-    pnodes.append("t")
-    tail_nodes = ["r"] + [f"w{i}" for i in range(1, m)] + ["t"]
-
-    chain_fiber: dict[tuple[int, int], int] = {}
-    for j in range(1, n + 1):
-        stops = ["s"] + [f"c{j}_{x}" for x in range(1, L + 1)] + [f"u{j}"]
-        for x in range(L + 1):
-            fibers.append((stops[x], stops[x + 1]))
-            chain_fiber[(j, x)] = len(fibers)
-    membership_fiber: dict[tuple[int, int], int] = {}
-    for j, members in enumerate(normalized, start=1):
-        for i in members:
-            fibers.append((f"u{j}", f"v{i}"))
-            membership_fiber[(j, i)] = len(fibers)
-    entry_fiber: dict[int, int] = {}
-    for i in range(1, m + 1):
-        fibers.append((f"v{i}", "r"))
-        entry_fiber[i] = len(fibers)
-    upper_fiber: dict[int, int] = {}
-    lower_fiber: dict[int, int] = {}
-    for i in range(1, m + 1):
-        fibers.append((tail_nodes[i - 1], tail_nodes[i]))
-        upper_fiber[i] = len(fibers)
-        fibers.append((tail_nodes[i - 1], tail_nodes[i]))
-        lower_fiber[i] = len(fibers)
-
-    lnodes: list[str] = ["s"]
-    for j in range(1, n + 1):
-        lnodes.extend(f"c{j}_{x}" for x in range(1, L + 1))
-        lnodes.append(f"u{j}")
-    lnodes.extend(f"v{i}" for i in range(1, m + 1))
-    lnodes.append("t")
-
     links: list[tuple[str, str]] = []
     routes: list[tuple[int, ...]] = []
+
+    def hop(u: str, v: str) -> None:
+        """Add fiber u-v and the logical link routed over it alone."""
+        fibers.append((u, v))
+        links.append((u, v))
+        routes.append((len(fibers),))
+
     for j in range(1, n + 1):
-        stops = ["s"] + [f"c{j}_{x}" for x in range(1, L + 1)] + [f"u{j}"]
-        for x in range(L + 1):
-            links.append((stops[x], stops[x + 1]))
-            routes.append((chain_fiber[(j, x)],))
+        stops = [f"c{j}_{x}" for x in range(1, chain_length + 1)] + [f"u{j}"]
+        for u, v in zip(["s", *stops], stops):
+            hop(u, v)
+        pnodes.extend(stops)
     for j, members in enumerate(normalized, start=1):
         for i in members:
-            links.append((f"u{j}", f"v{i}"))
-            routes.append((membership_fiber[(j, i)],))
-    for i in range(1, m + 1):
-        tail_route = [entry_fiber[i]]
-        for seg in range(1, m + 1):
-            tail_route.append(upper_fiber[seg] if seg == i else lower_fiber[seg])
-        links.append((f"v{i}", "t"))
-        routes.append(tuple(tail_route))
+            hop(f"u{j}", f"v{i}")
+    right = [f"v{i}" for i in range(1, m + 1)]
+    pnodes.extend(right)
+    lnodes = [*pnodes, "t"]
+    tail_nodes = ["r"] + [f"w{i}" for i in range(1, m)] + ["t"]
+    pnodes.extend(tail_nodes)
+    # Fiber entry + i enters the tail from v_i; segment k is crossed by its
+    # upper fiber entry + m + 2k - 1 or by the lower one right after it.
+    entry = len(fibers)
+    fibers.extend((v, "r") for v in right)
+    for a, b in zip(tail_nodes, tail_nodes[1:]):
+        fibers += [(a, b), (a, b)]
+    for i, v in enumerate(right, start=1):
+        links.append((v, "t"))
+        routes.append((entry + i, *(entry + m + 2 * k - (k == i) for k in range(1, m + 1))))
 
     net = LayeredNetwork(
         physical=PhysicalTopology(nodes=tuple(pnodes), fibers=tuple(fibers)),

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import SurvPathError, SurvivalMatrix, _bit_ids, _Stopwatch, require_feasible
+from .model import SurvPathError, SurvivalMatrix, _bit_ids, require_feasible
 
 __all__ = ["FractionalSolution", "solve_mfsp_relaxation"]
 
@@ -49,7 +49,6 @@ class FractionalSolution:
     objective: float
     path_exact: tuple[Fraction, ...]
     fiber_exact: tuple[Fraction, ...]
-    elapsed: float = 0.0
 
     @property
     def objective_exact(self) -> Fraction:
@@ -195,7 +194,6 @@ def solve_mfsp_relaxation(mat: SurvivalMatrix) -> FractionalSolution:
     satisfies every constraint exactly; the float views are within 1e-9 of
     feasibility by construction.
     """
-    clock = _Stopwatch()
     require_feasible(mat)
     n = mat.num_paths
     m = mat.num_fibers
@@ -287,5 +285,4 @@ def solve_mfsp_relaxation(mat: SurvivalMatrix) -> FractionalSolution:
         objective=objective,
         path_exact=p_exact,
         fiber_exact=f_exact,
-        elapsed=clock.elapsed(),
     )

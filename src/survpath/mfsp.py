@@ -40,16 +40,7 @@ from .model import (
     _Stopwatch,
     require_feasible,
 )
-from .msp import (
-    _Budget,
-    _greedy,
-    _lex_smallest_cover,
-    _min_cover_size,
-    _report,
-    _size_bound,
-    _validated_limits,
-    msp_epsnet,
-)
+from .msp import _exact, _greedy, _report, msp_epsnet
 
 __all__ = [
     "RoundingConfig",
@@ -132,28 +123,7 @@ def mfsp_exact(
     ``node_limit`` (>= 0, checked first) caps search nodes over both passes
     (:class:`~survpath.model.SearchBudgetExceeded` beyond it).
     """
-    clock = _Stopwatch()
-    budget = _Budget(node_limit)
-    require_feasible(mat)
-    limits = _validated_limits(mat, limits)
-    size_bound = _size_bound(mat, limits)
-
-    weight = mat.num_paths + 1
-    cost = _min_cover_size(
-        mat, 0, mat.all_paths_mask, mat.num_fibers * weight + size_bound + 1, budget,
-        0, 0, weight,
-    )
-    witness = _lex_smallest_cover(mat, cost, budget, weight)
-
-    fibers, paths = divmod(cost, weight)
-    report = _report(mat, "mfsp_exact", witness, clock, budget.nodes, size_bound=size_bound)
-    solution = report.solution
-    if not solution.survivable or (report.objective, solution.size) != (fibers, paths):
-        raise SurvPathError(
-            f"exact witness {witness} is not a survivable set of {paths} paths "
-            f"on {fibers} fibers"
-        )
-    return report
+    return _exact(mat, limits, node_limit, "mfsp_exact", mat.num_paths + 1)
 
 
 # ---------------------------------------------------------------------------

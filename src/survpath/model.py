@@ -142,11 +142,6 @@ class PhysicalTopology:
     def num_fibers(self) -> int:
         return len(self.fibers)
 
-    def endpoints(self, fiber: int) -> tuple[str, str]:
-        if not 1 <= fiber <= len(self.fibers):
-            raise ValidationError(f"unknown fiber id {fiber}")
-        return self.fibers[fiber - 1]
-
 
 @dataclass(frozen=True)
 class LogicalTopology:
@@ -281,8 +276,7 @@ class LogicalPath:
             raise ValidationError(
                 f"path {self.path_id} uses fiber {lowest}; fiber ids are 1-based"
             )
-        # Bit f of the sum stands for fiber f; the mask keeps fiber f in bit f-1.
-        mask = sum(map((1).__lshift__, self.fibers_used)) >> 1
+        mask = _fiber_mask(self.fibers_used)
         if self.used_mask is None:
             object.__setattr__(self, "used_mask", mask)
         elif self.used_mask != mask:
@@ -404,14 +398,11 @@ class SurvivalMatrix:
         """Build a matrix from one used-fiber set per path (parallel-path form)."""
         masks = []
         for j, fibers in enumerate(fiber_sets, start=1):
-            mask = 0
-            for f in fibers:
-                if not 1 <= f <= num_fibers:
-                    raise ValidationError(
-                        f"path {j} uses fiber {f}, outside 1..{num_fibers}"
-                    )
-                mask |= 1 << (f - 1)
-            masks.append(mask)
+            fibers = tuple(fibers)
+            if fibers and not (min(fibers) >= 1 and max(fibers) <= num_fibers):
+                bad = next(f for f in fibers if not 1 <= f <= num_fibers)
+                raise ValidationError(f"path {j} uses fiber {bad}, outside 1..{num_fibers}")
+            masks.append(_fiber_mask(fibers))
         return cls(num_fibers, len(masks), tuple(masks))
 
     # -- accessors ---------------------------------------------------------
@@ -499,6 +490,13 @@ class SurvivalMatrix:
 
     def max_path_cost(self) -> int:
         return max((m.bit_count() for m in self.used_masks), default=0)
+
+
+def _fiber_mask(fibers: Iterable[int]) -> int:
+    """The fiber ids ``fibers`` (each >= 1, repeats allowed) as a bitmask, bit
+    ``i-1`` for fiber ``i``: the encoding of :attr:`SurvivalMatrix.used_masks`."""
+    # Bit f of the sum stands for fiber f; the mask keeps fiber f in bit f-1.
+    return sum(map((1).__lshift__, set(fibers))) >> 1
 
 
 def _bit_ids(mask: int) -> Iterator[int]:

@@ -392,15 +392,51 @@ def _lex_smallest_cover(
             ) == left:
                 break
         else:
-            what = f"{cost} paths"
-            if fiber_weight:
-                what = f"{cost % fiber_weight} paths on {cost // fiber_weight} fibers"
-            raise SurvPathError(f"no survivable set of {what}, the cost the search proved optimal")
+            raise SurvPathError(
+                f"no survivable set of {_cost_words(cost, fiber_weight)}, "
+                "the cost the search proved optimal"
+            )
         witness.append(j + 1)
         covered |= survive[j]
         union |= new
         spent = cost - left
     return witness
+
+
+def _cost_words(cost: int, fiber_weight: int) -> str:
+    """The selection a search cost stands for: its paths, and for MFSP its fibers."""
+    if not fiber_weight:
+        return f"{cost} paths"
+    fibers, paths = divmod(cost, fiber_weight)
+    return f"{paths} paths on {fibers} fibers"
+
+
+def _exact(
+    mat: SurvivalMatrix, limits: Limits | None, node_limit: int | None, algorithm: str,
+    fiber_weight: int,
+) -> SolveReport:
+    """Exact MSP (``fiber_weight`` 0) or MFSP (n+1): :func:`_min_cover_size`
+    proves the optimal cost, starting from the unit-cost greedy's, then
+    :func:`_lex_smallest_cover` finds the witness, checked before it is
+    reported."""
+    clock = _Stopwatch()
+    budget = _Budget(node_limit)
+    require_feasible(mat)
+    limits = _validated_limits(mat, limits)
+    incumbent, _, _ = _greedy(mat)
+    start = fiber_weight * len(mat.fibers_used_by(incumbent)) + len(incumbent)
+    cost = _min_cover_size(mat, 0, mat.all_paths_mask, start, budget, 0, 0, fiber_weight)
+    witness = _lex_smallest_cover(mat, cost, budget, fiber_weight)
+    report = _report(
+        mat, algorithm, witness, clock, budget.nodes, size_bound=_size_bound(mat, limits)
+    )
+    solution = report.solution
+    if not solution.survivable or fiber_weight * solution.num_fibers_used + solution.size != cost:
+        raise SurvPathError(
+            f"exact witness {list(witness)} is not a survivable set of "
+            f"{_cost_words(cost, fiber_weight)}"
+        )
+    return report
 
 
 def msp_exact(
@@ -415,29 +451,12 @@ def msp_exact(
     lexicographically smallest id tuple.  One search, :func:`_min_cover_size`,
     proves the optimal size, then decides each place of the witness.  Declared
     limits must hold for the matrix (raising
-    :class:`~survpath.model.PreconditionError` otherwise) and tighten the
-    search-depth bound to K+1 / W+1.  ``node_limit`` (>= 0, checked first) caps
-    search nodes over all runs, raising
+    :class:`~survpath.model.PreconditionError` otherwise); an optimum has at
+    most K+1 / W+1 paths (``extra["size_bound"]``).  ``node_limit`` (>= 0,
+    checked first) caps search nodes over all runs, raising
     :class:`~survpath.model.SearchBudgetExceeded` beyond it.
     """
-    clock = _Stopwatch()
-    budget = _Budget(node_limit)
-    require_feasible(mat)
-    limits = _validated_limits(mat, limits)
-    bound = _size_bound(mat, limits)
-
-    incumbent, _, _ = _greedy(mat)
-    best_size = _min_cover_size(
-        mat, 0, mat.all_paths_mask, min(len(incumbent), bound), budget
-    )
-    witness = _lex_smallest_cover(mat, best_size, budget)
-
-    report = _report(mat, "msp_exact", witness, clock, budget.nodes, size_bound=bound)
-    if not report.solution.survivable or report.objective != best_size:
-        raise SurvPathError(
-            f"exact witness {list(witness)} is not a survivable set of {best_size} paths"
-        )
-    return report
+    return _exact(mat, limits, node_limit, "msp_exact", 0)
 
 
 # ---------------------------------------------------------------------------

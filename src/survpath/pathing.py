@@ -22,6 +22,7 @@ from .model import (
     SurvivalMatrix,
     SurvPathError,
     ValidationError,
+    _fiber_mask,
     _path_from_mask,
 )
 
@@ -99,11 +100,8 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
         entries.sort()
 
     source, sink = net.logical.source, net.logical.sink
-    # Per link id (index 0 unused): its fiber set as a bitmask.  A route may
-    # repeat a fiber, so each fiber's bit is added once.
-    link_fibers = [0]
-    for route in net.routing.routes:
-        link_fibers.append(sum(map((1).__lshift__, set(route))) >> 1)
+    # Per link id (index 0 unused): its fiber set as a bitmask.
+    link_fibers = [0, *map(_fiber_mask, net.routing.routes)]
 
     found: list[tuple[int, ...]] = []
     masks: list[int] = []  # masks[i] is the fiber mask of found[i]

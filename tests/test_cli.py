@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from survpath import packaged_instance
+from survpath.cli import main
 
 PAIRWISE3 = str(packaged_instance("pairwise3.spn"))
 UNCOVERABLE = str(packaged_instance("uncoverable.spn"))
@@ -284,6 +285,17 @@ ERROR_TABLE = [
         "survpath bench: error: algorithm 'bogus' is not a mfsp solver "
         "(choose from exact, acg, nacg, rsg, rr, epsnet)\n", "",
     ),
+    # bench maps errors as solve and verify do: an infeasible ensemble exits
+    # 2, and every message names the command.
+    (
+        ("bench", "--paths", "2", "--fibers", "3", "--w-range", "2..2", "--trials", "5"), 2,
+        "survpath bench: infeasible: instance is infeasible: fiber 1 is used by "
+        "every path, so no path set survives its failure\n", "",
+    ),
+    (
+        (*BENCH_SMALL, "--w-range", "2..2", "--node-limit", "-3"), 64,
+        "survpath bench: error: node_limit must be >= 0, got -3\n", "",
+    ),
 ]
 
 
@@ -296,3 +308,22 @@ def test_error_paths_print_exact_messages_and_exit_codes(tmp_path, args, code, s
     assert (proc.returncode, proc.stderr, proc.stdout) == (
         code, stderr.format(**names), stdout
     )
+
+
+class _BrokenStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--in", PAIRWISE3, "--paths", "1,2,3"],
+        ["solve", "msp", "--alg", "exact", "--in", PAIRWISE3],
+    ],
+)
+def test_failed_output_write_is_not_an_unreadable_instance(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(argv)
+    assert capsys.readouterr().err == ""

@@ -29,6 +29,7 @@ from survpath import (
     SurvivalMatrix,
     SurvPathError,
     enumerate_paths_k_restricted,
+    gen_from_setcover,
     gen_mfsp_3setcover_gadget,
     mfsp_exact,
     mfsp_nacg,
@@ -56,13 +57,13 @@ def test_msp_exact_rejects_an_unsurvivable_witness(pairwise3, monkeypatch):
 def test_mfsp_exact_rejects_a_cost_with_no_witness(pairwise3, monkeypatch):
     # pairwise3 needs all three paths on its three fibers; claim that two
     # paths on three fibers suffice (fibers weigh n + 1 = 4).
-    monkeypatch.setattr(survpath.mfsp, "_min_cover_size", lambda *args: 3 * 4 + 2)
+    monkeypatch.setattr(survpath.msp, "_min_cover_size", lambda *args: 3 * 4 + 2)
     with pytest.raises(SurvPathError, match="no survivable set of 2 paths on 3 fibers"):
         mfsp_exact(pairwise3)
 
 
 def test_mfsp_exact_rejects_an_unsurvivable_witness(pairwise3, monkeypatch):
-    monkeypatch.setattr(survpath.mfsp, "_lex_smallest_cover", lambda *args: [1])
+    monkeypatch.setattr(survpath.msp, "_lex_smallest_cover", lambda *args: [1])
     with pytest.raises(SurvPathError, match=r"witness \[1\] is not a survivable"):
         mfsp_exact(pairwise3)
 
@@ -252,3 +253,17 @@ def test_min_cover_size_returns_the_least_completion_cost_below_best():
                 expected = best if least is None else min(best, least)
                 state = (mat.used_masks, covered, union, eligible, weight, best, floor)
                 assert got == expected, state
+
+
+@pytest.mark.xfail(
+    raises=RecursionError, strict=True,
+    reason="the exact search recurses once per selected path, so a cover of "
+    "more paths than the recursion limit overflows before the budget binds",
+)
+@pytest.mark.parametrize("solver", [msp_exact, mfsp_exact])
+def test_exact_search_deeper_than_the_recursion_limit_hits_its_budget(solver):
+    # 1100 singleton subsets: the only cover takes every path, and the greedy
+    # incumbent leaves the search to prove that 1100 levels deep.
+    mat = gen_from_setcover(1100, [[i] for i in range(1, 1101)])
+    with pytest.raises(SearchBudgetExceeded):
+        solver(mat, node_limit=5000)

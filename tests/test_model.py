@@ -85,6 +85,15 @@ def test_out_of_range_ids_rejected():
     assert SurvivalMatrix.from_fiber_sets(2, [[1, 1]]).path_cost(1) == 1
 
 
+def test_fiber_sets_may_be_one_shot_iterables():
+    # Each path's fibers are read once, so generators work, and the first
+    # out-of-range fiber in their order is the one named.
+    mat = SurvivalMatrix.from_fiber_sets(3, [iter([1, 2]), (f for f in (3, 3))])
+    assert mat.used_masks == (0b011, 0b100)
+    with pytest.raises(ValidationError, match=r"path 2 uses fiber 5, outside 1\.\.3"):
+        SurvivalMatrix.from_fiber_sets(3, [[1], (f for f in (2, 5, 0))])
+
+
 # ---------------------------------------------------------------------------
 # Survivability predicate
 # ---------------------------------------------------------------------------
