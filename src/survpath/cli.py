@@ -202,9 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, out = _COMMANDS[args.command](args)
     except (SurvPathError, OSError) as exc:
-        # Only opening an instance file raises an OSError naming a file; any
-        # other OSError is not the input's fault and propagates.
-        if isinstance(exc, OSError) and exc.filename is None:
+        # bench reads no instance file, so an OSError there (starting its
+        # worker processes, say) is not the input's fault and propagates.
+        if isinstance(exc, OSError) and args.command == "bench":
             raise
         for kind, label, code in _ERRORS:
             if isinstance(exc, kind):

@@ -433,7 +433,7 @@ def _exact(
     solution = report.solution
     if not solution.survivable or fiber_weight * solution.num_fibers_used + solution.size != cost:
         raise SurvPathError(
-            f"exact witness {list(witness)} is not a survivable set of "
+            f"exact witness {witness} is not a survivable set of "
             f"{_cost_words(cost, fiber_weight)}"
         )
     return report

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import survpath.bench
 from survpath import packaged_instance
 from survpath.cli import main
 
@@ -326,4 +327,16 @@ def test_failed_output_write_is_not_an_unreadable_instance(argv, monkeypatch, ca
     monkeypatch.setattr(sys, "stdout", _BrokenStdout())
     with pytest.raises(BrokenPipeError):
         main(argv)
+    assert capsys.readouterr().err == ""
+
+
+def test_bench_os_error_is_not_an_unreadable_instance(monkeypatch, capsys):
+    # bench reads no file: an OSError there, such as a platform without
+    # process-pool support, propagates instead of blaming an instance.
+    def no_pool(**kwargs):
+        raise OSError(38, "Function not implemented")
+
+    monkeypatch.setattr(survpath.bench, "run_experiment", no_pool)
+    with pytest.raises(OSError, match="Function not implemented"):
+        main([*BENCH_SMALL, "--w-range", "2..2"])
     assert capsys.readouterr().err == ""
