@@ -5,23 +5,40 @@
 path) cell at a time on seeded shapes, including the word-size edges, and
 check that every way of building a matrix from the same fiber sets agrees,
 down to the enumerated paths' own fiber sets.
+
+The transpose is built on first read only: the greedy family and the
+feasibility check read the path masks alone, and pickling, copying or
+replacing a matrix keeps its views equal whether or not they were built.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+from functools import reduce
+from operator import and_
 from random import Random
 
 import pytest
 
 from survpath import (
+    InfeasibleInstanceError,
     LayeredNetwork,
     LightpathRouting,
+    LogicalPath,
     LogicalTopology,
+    PathCatalog,
     PhysicalTopology,
     SurvivalMatrix,
+    ValidationError,
     build_survival_matrix,
     enumerate_paths_k_restricted,
     enumerate_paths_unrestricted,
+    mfsp_nacg,
+    mfsp_rsg,
+    msp_greedy,
+    require_feasible,
 )
 
 SIZES = (0, 1, 2, 7, 8, 9, 63, 64, 65, 300)
@@ -165,4 +182,155 @@ def test_every_construction_agrees_on_random_layered_nets():
                 assert mat.used_masks == masks
                 assert (mat.survive_rows, mat.fiber_load) == (rows, load)
             checked += len(sets)
+    assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# Views built on first read
+# ---------------------------------------------------------------------------
+
+FIBER_MAJOR = ("survive_rows", "fiber_load")
+
+
+def fiber_major_built(mat: SurvivalMatrix) -> bool:
+    built = [name in vars(mat) for name in FIBER_MAJOR]
+    assert built[0] == built[1], "the two views are built together"
+    return built[0]
+
+
+def clones(mat: SurvivalMatrix) -> list[SurvivalMatrix]:
+    out = [
+        pickle.loads(pickle.dumps(mat, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    out += [copy.copy(mat), copy.deepcopy(mat), dataclasses.replace(mat)]
+    return out
+
+
+def feasible_k_restricted_matrix() -> SurvivalMatrix:
+    """The first seeded net whose K-restricted catalog is feasible with at
+    least four paths, as a matrix; feasibility is checked on the masks here."""
+    rng = Random(20261019)
+    while True:
+        net = random_layered(rng)
+        catalog = enumerate_paths_k_restricted(net, 3)
+        masks = [p.used_mask for p in catalog.paths]
+        full = (1 << net.num_fibers) - 1
+        if len(masks) >= 4 and not reduce(and_, masks, full):
+            return catalog.matrix(net.num_fibers)
+
+
+def test_the_greedy_family_never_builds_the_fiber_major_views():
+    mat = feasible_k_restricted_matrix()
+    require_feasible(mat)
+    msp_greedy(mat)
+    mfsp_nacg(mat)
+    mfsp_rsg(mat, seed=5)
+    assert not fiber_major_built(mat)
+
+    before = clones(mat)
+    for clone in before:
+        assert clone == mat and hash(clone) == hash(mat)
+        assert not fiber_major_built(clone)
+    expected = reference_rows(mat.num_fibers, mat.used_masks)
+    assert (mat.survive_rows, mat.fiber_load) == expected
+    assert fiber_major_built(mat)
+    assert mat.survivor_row(1) == expected[0][0]
+    assert mat.max_fiber_load() == max(expected[1])
+
+    after = clones(mat)
+    for clone in before + after:
+        assert clone == mat and hash(clone) == hash(mat)
+        assert (clone.survive_rows, clone.fiber_load) == expected
+        assert clone.survive_masks == mat.survive_masks
+    assert all(fiber_major_built(clone) for clone in after)
+
+
+def test_other_missing_attributes_raise_without_building_the_views():
+    # pickle and copy probe for hooks such as __deepcopy__ with getattr.
+    mat = SurvivalMatrix(2, 1, (0b01,))
+    with pytest.raises(AttributeError, match="has no attribute 'survive_row'"):
+        mat.survive_row
+    assert getattr(mat, "__deepcopy__", None) is None
+    assert not fiber_major_built(mat)
+
+
+@pytest.mark.parametrize(
+    ("m", "masks", "fiber"),
+    [
+        # Fibers 3 and 5 lie on every path; the lowest is named.
+        (6, (0b110100, 0b010101, 0b011100), 3),
+        # Without paths every fiber is infeasible.
+        (4, (), 1),
+        # A path using every fiber: each fiber is on the lone path.
+        (3, (0b111,), 1),
+        # The top fiber only.
+        (65, (1 << 64, (1 << 64) | 1, (1 << 65) - 1), 65),
+    ],
+)
+def test_infeasibility_is_read_from_the_masks(m, masks, fiber):
+    mat = SurvivalMatrix(m, len(masks), masks)
+    with pytest.raises(InfeasibleInstanceError) as exc_info:
+        require_feasible(mat)
+    assert exc_info.value.fiber == fiber
+    assert str(exc_info.value) == (
+        f"instance is infeasible: fiber {fiber} is used by every path, "
+        "so no path set survives its failure"
+    )
+    common = reduce(and_, masks, (1 << m) - 1)
+    assert mat.infeasible_fibers() == tuple(i + 1 for i in range(m) if common >> i & 1)
+    assert not fiber_major_built(mat)
+
+
+@pytest.mark.parametrize(
+    ("m", "masks"),
+    [(0, ()), (0, (0, 0, 0)), (3, (0b011, 0b110, 0b101)), (300, (0, (1 << 300) - 1))],
+)
+def test_feasible_matrices_pass_without_the_rows(m, masks):
+    mat = SurvivalMatrix(m, len(masks), masks)
+    require_feasible(mat)
+    assert mat.infeasible_fibers() == ()
+    assert not fiber_major_built(mat)
+
+
+@pytest.mark.parametrize(
+    ("m", "masks", "first"),
+    [
+        # A negative mask and one with bit m set, then both again later on.
+        (5, (0b10101, -1, 0b00001, 1 << 5, -8, (1 << 5) | 1), 2),
+        (5, (0b11111, 0, 1 << 5, 0b10101, -1, 1 << 9), 3),
+        (5, (0, 0b11111, 0b00001, 0b10000, -(1 << 5)), 5),
+        (64, ((1 << 64) - 1, 1 << 64, -1), 2),
+        (0, (0, 0, 1), 3),
+        (0, (-1,), 1),
+    ],
+)
+def test_the_range_check_names_the_first_bad_path(m, masks, first):
+    with pytest.raises(ValidationError) as exc_info:
+        SurvivalMatrix(m, len(masks), masks)
+    assert str(exc_info.value) == f"path {first} uses a fiber outside 1..{m}"
+
+
+def test_enumerated_catalogs_equal_the_publicly_checked_ones():
+    rng = Random(20261018)
+    checked = 0
+    for _ in range(60):
+        net = random_layered(rng)
+        catalogs = [enumerate_paths_unrestricted(net)]
+        catalogs.append(enumerate_paths_k_restricted(net, rng.randint(1, 4)))
+        for catalog in catalogs:
+            public = PathCatalog(
+                paths=tuple(
+                    LogicalPath(p.path_id, p.links, net.fibers_of_links(p.links))
+                    for p in catalog.paths
+                ),
+                limits=catalog.limits,
+                complete=True,
+            )
+            assert catalog == public
+            assert repr(catalog) == repr(public)
+            assert catalog == PathCatalog(
+                paths=catalog.paths, limits=catalog.limits, complete=True
+            )
+            checked += len(catalog)
     assert checked > 100
