@@ -341,9 +341,15 @@ class SurvivalMatrix:
     ``used_masks[j-1]`` has bit ``i-1`` set iff path ``j`` uses fiber ``i``
     (so ``a[i][j] == 0``).  Derived fields:
 
-    * ``survive_masks[j-1]``: bit ``i-1`` set iff path ``j`` survives fiber ``i``;
+    * ``survive_masks[j-1]``: bit ``i-1`` set iff path ``j`` survives fiber
+      ``i``; built with the matrix;
     * ``survive_rows[i-1]``: bit ``j-1`` set iff path ``j`` survives fiber ``i``;
     * ``fiber_load[i-1]``: number of paths using fiber ``i`` (row load).
+
+    The last two are a transpose of ``used_masks``, built together the first
+    time either is read.  Only the exact search, the LP relaxation, epsnet and
+    a declared ``max_paths_per_fiber`` read them; the greedy family and
+    :meth:`infeasible_fibers` read the path masks alone.
 
     Solvers read these tuples directly; the accessors below check ids.
     """
@@ -361,12 +367,18 @@ class SurvivalMatrix:
         if len(self.used_masks) != self.num_paths:
             raise ValidationError("one used-fiber mask per path required")
         fiber_space = (1 << self.num_fibers) - 1
-        for j, mask in enumerate(self.used_masks, start=1):
-            if mask < 0 or mask & ~fiber_space:
-                raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
-        object.__setattr__(
-            self, "survive_masks", tuple(fiber_space ^ used for used in self.used_masks)
-        )
+        masks = self.used_masks
+        if masks and (min(masks) < 0 or max(masks) > fiber_space):
+            for j, mask in enumerate(masks, start=1):
+                if mask < 0 or mask & ~fiber_space:
+                    raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
+        object.__setattr__(self, "survive_masks", tuple(fiber_space ^ used for used in masks))
+
+    def __getattr__(self, name: str):
+        # Called only when normal lookup fails: here, for a fiber-major view
+        # not read before.  pickle and copy probe for hooks this way too.
+        if name not in ("survive_rows", "fiber_load"):
+            raise AttributeError(f"'SurvivalMatrix' object has no attribute '{name}'")
         # Transpose in C, one byte column at a time: byte b of every mask,
         # path 1 lowest, read as one int and printed as one binary string of
         # 8 digits per path, last path first.  Digit 7-t of each group is then
@@ -388,6 +400,7 @@ class SurvivalMatrix:
                 load.append(used.bit_count())
         object.__setattr__(self, "survive_rows", tuple(rows))
         object.__setattr__(self, "fiber_load", tuple(load))
+        return vars(self)[name]
 
     # -- constructors ------------------------------------------------------
 
@@ -483,7 +496,12 @@ class SurvivalMatrix:
 
     def infeasible_fibers(self) -> tuple[int, ...]:
         """Fibers used by every path; nonempty iff no survivable set exists."""
-        return tuple(i for i, row in enumerate(self.survive_rows, start=1) if not row)
+        common = self.all_fibers_mask
+        for mask in self.used_masks:
+            common &= mask
+            if not common:
+                return ()
+        return tuple(_bit_ids(common))
 
     def max_fiber_load(self) -> int:
         return max(self.fiber_load, default=0)

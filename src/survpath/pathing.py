@@ -81,6 +81,15 @@ class PathCatalog:
         )
 
 
+def _complete_catalog(paths: list[LogicalPath], limits: Limits) -> PathCatalog:
+    """A complete catalog of :func:`_enumerate`'s paths, without the checks of
+    ``__post_init__``: the walk numbers its paths densely from 1, keeps each
+    within the cap and meets each link sequence once."""
+    catalog = object.__new__(PathCatalog)
+    vars(catalog).update(paths=tuple(paths), limits=limits, complete=True)
+    return catalog
+
+
 def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
     """All simple s-t paths of the logical layer, fiber footprint <= cap.
 
@@ -158,13 +167,9 @@ def enumerate_paths_k_restricted(net: LayeredNetwork, max_fibers: int) -> PathCa
                 f"enumeration found {footprints} distinct fiber sets, above "
                 f"the m^K bound {bound}"
             )
-    return PathCatalog(
-        paths=tuple(paths),
-        limits=Limits(max_fibers_per_path=max_fibers),
-        complete=True,
-    )
+    return _complete_catalog(paths, Limits(max_fibers_per_path=max_fibers))
 
 
 def enumerate_paths_unrestricted(net: LayeredNetwork) -> PathCatalog:
     """Enumerate every simple s-t logical path with no fiber cap."""
-    return PathCatalog(paths=tuple(_enumerate(net, None)), limits=Limits(), complete=True)
+    return _complete_catalog(_enumerate(net, None), Limits())
