@@ -341,16 +341,12 @@ class SurvivalMatrix:
     ``used_masks[j-1]`` has bit ``i-1`` set iff path ``j`` uses fiber ``i``
     (so ``a[i][j] == 0``).  Derived fields:
 
-    * ``survive_masks[j-1]``: bit ``i-1`` set iff path ``j`` survives fiber
-      ``i``; built with the matrix;
+    * ``survive_masks[j-1]``: bit ``i-1`` set iff path ``j`` survives fiber ``i``;
     * ``survive_rows[i-1]``: bit ``j-1`` set iff path ``j`` survives fiber ``i``;
     * ``fiber_load[i-1]``: number of paths using fiber ``i`` (row load).
 
-    The last two are a transpose of ``used_masks``, built together the first
-    time either is read.  Only the exact search, the LP relaxation, epsnet and
-    a declared ``max_paths_per_fiber`` read them; the greedy family and
-    :meth:`infeasible_fibers` read the path masks alone.
-
+    ``survive_masks`` is built with the matrix; the other two on first read, by
+    the exact search, the LP, epsnet or a ``max_paths_per_fiber`` check only.
     Solvers read these tuples directly; the accessors below check ids.
     """
 
@@ -369,38 +365,9 @@ class SurvivalMatrix:
         fiber_space = (1 << self.num_fibers) - 1
         masks = self.used_masks
         if masks and (min(masks) < 0 or max(masks) > fiber_space):
-            for j, mask in enumerate(masks, start=1):
-                if mask < 0 or mask & ~fiber_space:
-                    raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
+            j = next(j for j, mask in enumerate(masks, 1) if not 0 <= mask <= fiber_space)
+            raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
         object.__setattr__(self, "survive_masks", tuple(fiber_space ^ used for used in masks))
-
-    def __getattr__(self, name: str):
-        # Called only when normal lookup fails: here, for a fiber-major view
-        # not read before.  pickle and copy probe for hooks this way too.
-        if name not in ("survive_rows", "fiber_load"):
-            raise AttributeError(f"'SurvivalMatrix' object has no attribute '{name}'")
-        # Transpose in C, one byte column at a time: byte b of every mask,
-        # path 1 lowest, read as one int and printed as one binary string of
-        # 8 digits per path, last path first.  Digit 7-t of each group is then
-        # fiber 8b+t+1 of one path, so one strided slice read in base 2 is that
-        # fiber's used-row.  The cost does not depend on the fill, and only one
-        # column's digits are alive at a time.
-        width = (self.num_fibers + 7) // 8
-        packed = b"".join(mask.to_bytes(width, "little") for mask in self.used_masks)
-        everyone = self.all_paths_mask
-        rows = []
-        load = []
-        for b in range(width):
-            column = int.from_bytes(packed[b::width], "little")
-            digits = format(column, f"0{8 * self.num_paths}b")
-            for t in range(min(8, self.num_fibers - 8 * b)):
-                # With no paths the slice is empty (or the lone "0" of zero).
-                used = int(digits[7 - t :: 8] or "0", 2)
-                rows.append(everyone ^ used)
-                load.append(used.bit_count())
-        object.__setattr__(self, "survive_rows", tuple(rows))
-        object.__setattr__(self, "fiber_load", tuple(load))
-        return vars(self)[name]
 
     # -- constructors ------------------------------------------------------
 
@@ -498,8 +465,7 @@ class SurvivalMatrix:
         """Fibers used by every path; nonempty iff no survivable set exists."""
         common = self.all_fibers_mask
         for mask in self.used_masks:
-            common &= mask
-            if not common:
+            if not (common := common & mask):
                 return ()
         return tuple(_bit_ids(common))
 
@@ -508,6 +474,43 @@ class SurvivalMatrix:
 
     def max_path_cost(self) -> int:
         return max((m.bit_count() for m in self.used_masks), default=0)
+
+
+class _FiberMajorView:
+    """``survive_rows`` or ``fiber_load``: a first read builds both on the matrix,
+    shadowing this descriptor; ``__getattr__`` would slow every attribute load."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, mat: SurvivalMatrix | None, owner: type | None = None):
+        if mat is None:
+            return self
+        # Transpose in C, one byte column at a time: byte b of every mask, path 1
+        # lowest, read as one int and printed as one binary string of 8 digits per
+        # path, last path first.  Digit 7-t of each group is then fiber 8b+t+1 of
+        # one path, so one strided slice read in base 2 is that fiber's used-row.
+        # The cost does not depend on the fill; one column's digits live at a time.
+        width = (mat.num_fibers + 7) // 8
+        packed = b"".join(mask.to_bytes(width, "little") for mask in mat.used_masks)
+        everyone = mat.all_paths_mask
+        rows, load = [], []
+        for b in range(width):
+            column = int.from_bytes(packed[b::width], "little")
+            digits = format(column, f"0{8 * mat.num_paths}b")
+            for t in range(min(8, mat.num_fibers - 8 * b)):
+                # With no paths the slice is empty (or the lone "0" of zero).
+                used = int(digits[7 - t :: 8] or "0", 2)
+                rows.append(everyone ^ used)
+                load.append(used.bit_count())
+        object.__setattr__(mat, "survive_rows", tuple(rows))
+        object.__setattr__(mat, "fiber_load", tuple(load))
+        return getattr(mat, self.name)
+
+
+# Set once the dataclass is built, which would take them for field defaults.
+SurvivalMatrix.survive_rows = _FiberMajorView("survive_rows")
+SurvivalMatrix.fiber_load = _FiberMajorView("fiber_load")
 
 
 def _fiber_mask(fibers: Iterable[int]) -> int:

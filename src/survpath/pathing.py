@@ -82,9 +82,8 @@ class PathCatalog:
 
 
 def _complete_catalog(paths: list[LogicalPath], limits: Limits) -> PathCatalog:
-    """A complete catalog of :func:`_enumerate`'s paths, without the checks of
-    ``__post_init__``: the walk numbers its paths densely from 1, keeps each
-    within the cap and meets each link sequence once."""
+    """A catalog of :func:`_enumerate`'s paths without ``__post_init__``'s checks:
+    the walk numbers them densely, keeps the cap and meets each link sequence once."""
     catalog = object.__new__(PathCatalog)
     vars(catalog).update(paths=tuple(paths), limits=limits, complete=True)
     return catalog
