@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import survpath.bench
-from survpath import packaged_instance
+from survpath import gen_from_setcover, matrix_to_instance, packaged_instance, write_spn
 from survpath.cli import main
 
 PAIRWISE3 = str(packaged_instance("pairwise3.spn"))
@@ -214,7 +214,8 @@ BENCH_SMALL = ("bench", "--paths", "6", "--fibers", "8", "--trials", "1")
 
 # Every error path's exact stderr and exit code: (argv, exit code, stderr,
 # stdout).  ``{missing}`` and ``{bad}`` stand for a missing file and a file
-# that fails to parse.
+# that fails to parse, ``{deep}`` for 1,100 singleton subsets embedded as
+# paths, whose only cover takes every path.
 ERROR_TABLE = [
     (
         ("solve", "msp", "--alg", "greedy", "--in", UNCOVERABLE), 2,
@@ -233,6 +234,10 @@ ERROR_TABLE = [
     (
         ("solve", "mfsp", "--alg", "exact", "--in", PAIRWISE3, "--node-limit", "2"), 3,
         "survpath solve: exact search exceeded its node budget after 3 nodes\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "exact", "--in", "{deep}", "--node-limit", "5000"), 3,
+        "survpath solve: exact search exceeded its node budget after 5001 nodes\n", "",
     ),
     (
         ("solve", "msp", "--alg", "exact", "--in", "{missing}"), 64,
@@ -304,7 +309,11 @@ ERROR_TABLE = [
 def test_error_paths_print_exact_messages_and_exit_codes(tmp_path, args, code, stderr, stdout):
     bad = tmp_path / "bad.spn"
     bad.write_text(BAD_SPN)
-    names = {"missing": str(tmp_path / "missing.spn"), "bad": str(bad)}
+    deep = tmp_path / "deep.spn"
+    if "{deep}" in args:
+        singletons = gen_from_setcover(1100, [[i] for i in range(1, 1101)])
+        write_spn(matrix_to_instance(singletons), deep)
+    names = {"missing": str(tmp_path / "missing.spn"), "bad": str(bad), "deep": str(deep)}
     proc = run_cli(*(arg.format(**names) for arg in args))
     assert (proc.returncode, proc.stderr, proc.stdout) == (
         code, stderr.format(**names), stdout

@@ -5,9 +5,12 @@ count.  Each is driven by a bad state or a monkeypatched helper."""
 
 from __future__ import annotations
 
+import gc
+import inspect
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -255,11 +258,6 @@ def test_min_cover_size_returns_the_least_completion_cost_below_best():
                 assert got == expected, state
 
 
-@pytest.mark.xfail(
-    raises=RecursionError, strict=True,
-    reason="the exact search recurses once per selected path, so a cover of "
-    "more paths than the recursion limit overflows before the budget binds",
-)
 @pytest.mark.parametrize("solver", [msp_exact, mfsp_exact])
 def test_exact_search_deeper_than_the_recursion_limit_hits_its_budget(solver):
     # 1100 singleton subsets: the only cover takes every path, and the greedy
@@ -267,3 +265,34 @@ def test_exact_search_deeper_than_the_recursion_limit_hits_its_budget(solver):
     mat = gen_from_setcover(1100, [[i] for i in range(1, 1101)])
     with pytest.raises(SearchBudgetExceeded):
         solver(mat, node_limit=5000)
+
+
+@pytest.mark.parametrize("solver", [msp_exact, mfsp_exact])
+def test_exact_search_runs_in_constant_stack_depth(solver):
+    # 150 singleton subsets need all 150 paths: a search that took a stack
+    # frame per selected path would overflow a limit 100 frames above here.
+    mat = gen_from_setcover(150, [[i] for i in range(1, 151)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        report = solver(mat)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.solution.selected == tuple(range(1, 151))
+
+
+@pytest.mark.parametrize("solver", [msp_exact, mfsp_exact])
+def test_exact_solvers_leave_no_cyclic_garbage(solver):
+    # Without the cyclic collector, only reference counting can free the
+    # matrix: a reference cycle through the search would keep it alive.
+    mat = gen_from_setcover(6, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1], [1, 4]])
+    ref = weakref.ref(mat)
+    gc.collect()
+    gc.disable()
+    try:
+        solver(mat)
+        del mat
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

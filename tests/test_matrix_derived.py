@@ -37,6 +37,7 @@ from survpath import (
     enumerate_paths_unrestricted,
     mfsp_nacg,
     mfsp_rsg,
+    msp_epsnet,
     msp_greedy,
     require_feasible,
 )
@@ -226,6 +227,8 @@ def test_the_greedy_family_never_builds_the_fiber_major_views():
     msp_greedy(mat)
     mfsp_nacg(mat)
     mfsp_rsg(mat, seed=5)
+    # A sample that misses a fiber doubles that fiber's survivors: three times here.
+    assert msp_epsnet(mat, seed=2, c=0.5).iterations == 4
     assert not fiber_major_built(mat)
 
     before = clones(mat)
