@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
+from time import perf_counter
 
 from .lp import FractionalSolution, solve_mfsp_relaxation
 from .model import (
@@ -37,7 +38,6 @@ from .model import (
     SurvPathError,
     SurvivalMatrix,
     ValidationError,
-    _Stopwatch,
     require_feasible,
 )
 from .msp import _exact, _greedy, _report, msp_epsnet
@@ -64,14 +64,14 @@ def _greedy_run(
 ) -> SolveReport:
     """One of the amortized-cost greedies, reported under ``algorithm``; a
     ``seed`` adds RSG's substitution sweeps."""
-    clock = _Stopwatch()
+    started = perf_counter()
     require_feasible(mat)
     rng = Random(seed) if seed is not None else None
     selected, trace, removed = _greedy(mat, mat.used_masks, dynamic=dynamic, rng=rng)
     extra: dict = {"selections": trace}
     if rng is not None:
         extra["removed"] = removed
-    report = _report(mat, algorithm, selected, clock, len(trace), seed, **extra)
+    report = _report(mat, algorithm, selected, started, len(trace), seed, **extra)
     if not report.solution.survivable:
         raise SurvPathError(
             f"greedy selection {list(report.solution.selected)} is not survivable"
@@ -171,7 +171,7 @@ def mfsp_randomized_rounding(
     ``extra["repair_added"]``.  Pass ``relaxation`` to reuse an LP solution
     across seeds.
     """
-    clock = _Stopwatch()
+    started = perf_counter()
     require_feasible(mat)
     lp = relaxation if relaxation is not None else solve_mfsp_relaxation(mat)
     if (
@@ -196,7 +196,7 @@ def mfsp_randomized_rounding(
         added = [j for j, _, _ in trace]
         chosen.update(added)
         extra["repair_added"] = added
-    return _report(mat, "mfsp_rounding", chosen, clock, rounds, config.seed, **extra)
+    return _report(mat, "mfsp_rounding", chosen, started, rounds, config.seed, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def mfsp_epsnet(
     its meaning.  Raises the sampler's
     :class:`~survpath.model.RandomizedFailureError` on schedule exhaustion.
     """
-    clock = _Stopwatch()
+    started = perf_counter()
     if limits is None or limits.max_paths_per_fiber is None:
         raise PreconditionError(
             "mfsp_epsnet requires a declared per-fiber load cap (W)"
@@ -226,7 +226,7 @@ def mfsp_epsnet(
     inner = msp_epsnet(mat, limits, seed, c=c)
     selected = inner.solution.selected
     return _report(
-        mat, "mfsp_epsnet", selected, clock, inner.iterations, seed,
+        mat, "mfsp_epsnet", selected, started, inner.iterations, seed,
         **inner.extra, msp_size=len(selected),
     )
 

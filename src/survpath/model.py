@@ -18,7 +18,6 @@ of a fiber mask stands for fiber ``i``, and likewise for paths.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -707,13 +706,3 @@ def _jsonable(value):
     if isinstance(value, (frozenset, set)):
         return sorted(value)
     return value
-
-
-class _Stopwatch:
-    """Tiny helper so solvers report wall-clock time uniformly."""
-
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start

@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
+from time import perf_counter
 from typing import Iterable, Sequence
 
 from .model import (
@@ -40,7 +41,6 @@ from .model import (
     SurvPathError,
     SurvivalMatrix,
     _bit_ids,
-    _Stopwatch,
     require_feasible,
 )
 
@@ -91,18 +91,20 @@ def _report(
     mat: SurvivalMatrix,
     algorithm: str,
     ids: Iterable[int],
-    clock: _Stopwatch,
+    started: float,
     iterations: int,
     seed: int | None = None,
     **extra,
 ) -> SolveReport:
     """Report selection ``ids`` for ``algorithm``, named ``<problem>_<alg>``;
-    the objective is the path count for MSP and the lit fiber count for MFSP."""
+    the objective is the path count for MSP and the lit fiber count for MFSP,
+    and ``elapsed`` runs from ``started``, the solver's first
+    ``perf_counter()`` reading."""
     problem = algorithm.split("_")[0]
     solution = PathSet.from_ids(mat, ids)
     objective = solution.size if problem == "msp" else solution.num_fibers_used
     return SolveReport(
-        algorithm, problem, solution, objective, iterations, seed, clock.elapsed(), extra
+        algorithm, problem, solution, objective, iterations, seed, perf_counter() - started, extra
     )
 
 
@@ -223,11 +225,11 @@ def msp_greedy(mat: SurvivalMatrix) -> SolveReport:
     fiber.  The per-step (path, gain) trace is reported under
     ``extra["selections"]`` so the greedy dominance property can be audited.
     """
-    clock = _Stopwatch()
+    started = perf_counter()
     require_feasible(mat)
     chosen, trace, _ = _greedy(mat)
     return _report(
-        mat, "msp_greedy", chosen, clock, len(chosen),
+        mat, "msp_greedy", chosen, started, len(chosen),
         selections=[[j, gain] for j, _, gain in trace],
     )
 
@@ -265,40 +267,55 @@ def _min_cover_size(
     the open fibers' survivor rows into ``eligible``, stops once that is
     empty, and otherwise takes the cheapest survivor of them all as the
     completion, without visiting a child.
+
+    The search is one loop over an explicit stack of ``(cost, covered, union,
+    eligible)`` nodes, so its depth costs no interpreter frames.  A node
+    pushes its children from its highest branch survivor down, so they pop
+    lowest first, each after the subtrees of its elder siblings: the
+    depth-first order of a recursive search, node for node.  A child is
+    visited only if it is still cheaper than ``best`` when it pops.
     """
     full = mat.all_fibers_mask
     survive = mat.survive_masks
     used = mat.used_masks
     rows = mat.survive_rows
-
-    def descend(cost: int, covered: int, union: int, eligible: int) -> None:
-        nonlocal best
+    stack = [(0, covered, union, eligible)]
+    while stack:
+        cost, covered, union, eligible = stack.pop()
+        if cost:
+            # A child, pushed while cheaper than ``best``: the subtrees of its
+            # elder siblings may since have reached ``floor`` or ``best``.
+            # The root (cost 0) is always visited.
+            if best <= floor:
+                break
+            if cost >= best:
+                continue
         budget.tick()
         if covered == full:
             best = min(best, cost)
-            return
+            continue
         if cost + 1 >= best:
-            return
+            continue
         uncovered = full & ~covered
         if cost + 2 >= best:
             # Room for one more path only: it must survive every open fiber.
             last = eligible
             probe = uncovered
-            while probe:
+            while probe and last:
                 low = probe & -probe
                 last &= rows[low.bit_length() - 1]
-                if not last:
-                    return
                 probe ^= low
+            if not last:
+                continue
             if not fiber_weight:
                 best = cost + 1
-                return
+                continue
             while last:
                 low = last & -last
                 new = (used[low.bit_length() - 1] & ~union).bit_count()
                 best = min(best, cost + 1 + fiber_weight * new)
                 last ^= low
-            return
+            continue
         # An uncovered fiber with no eligible survivor makes this a dead end.
         branch_row = 0
         fewest = eligible.bit_count() + 1
@@ -308,11 +325,13 @@ def _min_cover_size(
             row = rows[low.bit_length() - 1] & eligible
             count = row.bit_count()
             if count < fewest:
-                if not count:
-                    return
                 fewest = count
                 branch_row = row
+                if not count:
+                    break
             probe ^= low
+        if not fewest:
+            continue
         bound = cost
         if fiber_weight:
             # Every completion takes a survivor of the branch fiber, so it
@@ -327,7 +346,7 @@ def _min_cover_size(
                 probe ^= low
             bound += fiber_weight * min_new
             if bound + 1 >= best:
-                return
+                continue
         # Admissible bound: with each further path covering at most max_gain
         # open fibers, the node is pruned when bound + ceil(open / max_gain)
         # >= best, that is, unless some eligible path covers at least
@@ -340,22 +359,18 @@ def _min_cover_size(
                 break
             probe ^= low
         else:
-            return
-        siblings = eligible
+            continue
+        # Child j may not take the branch survivors below it, which partitions
+        # the subsets.  Pushed from the highest survivor down, the lowest pops
+        # first.  A child no cheaper than ``best`` is pruned unpushed.
         while branch_row:
-            low = branch_row & -branch_row
-            j = low.bit_length() - 1
-            siblings &= ~low
-            branch_row ^= low
+            j = branch_row.bit_length() - 1
+            siblings = eligible & ~branch_row
+            branch_row ^= 1 << j
             new = used[j] & ~union
             child = cost + 1 + fiber_weight * new.bit_count()
-            # A child no cheaper than ``best`` is pruned before it is visited.
             if child < best:
-                descend(child, covered | survive[j], union | new, siblings)
-            if cost + 1 >= best or best <= floor:
-                return
-
-    descend(0, covered, union, eligible)
+                stack.append((child, covered | survive[j], union | new, siblings))
     return best
 
 
@@ -419,7 +434,7 @@ def _exact(
     proves the optimal cost, starting from the unit-cost greedy's, then
     :func:`_lex_smallest_cover` finds the witness, checked before it is
     reported."""
-    clock = _Stopwatch()
+    started = perf_counter()
     budget = _Budget(node_limit)
     require_feasible(mat)
     limits = _validated_limits(mat, limits)
@@ -428,7 +443,7 @@ def _exact(
     cost = _min_cover_size(mat, 0, mat.all_paths_mask, start, budget, 0, 0, fiber_weight)
     witness = _lex_smallest_cover(mat, cost, budget, fiber_weight)
     report = _report(
-        mat, algorithm, witness, clock, budget.nodes, size_bound=_size_bound(mat, limits)
+        mat, algorithm, witness, started, budget.nodes, size_bound=_size_bound(mat, limits)
     )
     solution = report.solution
     if not solution.survivable or fiber_weight * solution.num_fibers_used + solution.size != cost:
@@ -500,12 +515,8 @@ class EpsNetState:
 
     def double_survivors(self, mat: SurvivalMatrix, uncovered_mask: int) -> None:
         """Double the weight of every path surviving some uncovered fiber."""
-        rows = mat.survive_rows
-        boost = 0
-        for i in _bit_ids(uncovered_mask):
-            boost |= rows[i - 1]
-        for j in range(len(self.weights)):
-            if boost >> j & 1:
+        for j, survives in enumerate(mat.survive_masks):
+            if survives & uncovered_mask:
                 self.weights[j] *= 2
 
 
@@ -579,7 +590,7 @@ def msp_epsnet(
     guesses raises :class:`~survpath.model.RandomizedFailureError` carrying the
     seed.  Weights restart at 1 for every guess.
     """
-    clock = _Stopwatch()
+    started = perf_counter()
     require_feasible(mat)
     limits = _validated_limits(mat, limits)
     if c <= 0:
@@ -588,7 +599,7 @@ def msp_epsnet(
     n = mat.num_paths
     m = mat.num_fibers
     if m == 0:
-        return _report(mat, "msp_epsnet", (), clock, 0, seed)
+        return _report(mat, "msp_epsnet", (), started, 0, seed)
     dimension = _vc_dimension_proxy(mat, limits)
 
     total_rounds = 0
@@ -607,7 +618,7 @@ def msp_epsnet(
             if found is not None:
                 total_rounds += state.rounds
                 return _report(
-                    mat, "msp_epsnet", found, clock, total_rounds, seed, guess=guess,
+                    mat, "msp_epsnet", found, started, total_rounds, seed, guess=guess,
                     epsilon=epsilon, sample_size=sample_size,
                     rounds_in_final_guess=state.rounds,
                 )
