@@ -8,6 +8,7 @@ against these, never the other way around.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -235,3 +236,50 @@ def naive_is_survivable(mat: SurvivalMatrix, ids) -> bool:
         any(fiber not in mat.path_fibers(j) for j in ids)
         for fiber in range(1, mat.num_fibers + 1)
     )
+
+
+def scan_greedy(mat: SurvivalMatrix, cost_masks=None, *, dynamic=False, start=(), rng=None):
+    """Chvátal's greedy as a plain full scan at every step, in set arithmetic:
+    the reference for ``msp._greedy``, with its arguments and its
+    ``(selection, trace, removed)`` result.
+
+    Path j costs the fibers (bits) of ``cost_masks[j-1]``, 1 each without
+    masks; in ``dynamic`` mode those of selected paths are free.  Each step
+    takes the least cost per newly survived fiber, then the least cost, then
+    the least id.  With ``rng``, each step after the second retires at most
+    one earlier path whose survived fibers the newest path and a drawn peer
+    already survive.
+    """
+    n = mat.num_paths
+    fibers = set(range(1, mat.num_fibers + 1))
+    survives = {j: fibers - mat.path_fibers(j) for j in range(1, n + 1)}
+    charges = {
+        j: {1} if cost_masks is None else set(_ids_of(cost_masks[j - 1]))
+        for j in range(1, n + 1)
+    }
+    selected = list(start)
+    covered = set().union(*(survives[j] for j in selected))
+    trace, removed = [], []
+    while covered != fibers:
+        paid = set().union(*(charges[j] for j in selected)) if dynamic else set()
+        keys = []
+        for j in range(1, n + 1):
+            gain = len(survives[j] - covered)
+            if gain:
+                cost = len(charges[j] - paid)
+                keys.append((Fraction(cost, gain), cost, j, gain))
+        if not keys:
+            raise ValueError("no path survives an uncovered fiber")
+        _, cost, best, gain = min(keys)
+        selected.append(best)
+        covered |= survives[best]
+        trace.append([best, cost, gain])
+        if rng is not None and len(trace) > 2 and len(selected) > 1:
+            previous = [k for k in selected if k != best]
+            peer = previous[rng.randrange(len(previous))]
+            pair = survives[best] | survives[peer]
+            victims = [k for k in previous if k != peer and survives[k] <= pair]
+            if victims:
+                selected.remove(min(victims))
+                removed.append(min(victims))
+    return selected, trace, removed

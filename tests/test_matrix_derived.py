@@ -96,9 +96,11 @@ def test_derived_fields_match_the_per_cell_definition(m, n):
     assert mat.survive_masks == tuple(
         sum(1 << i for i in range(m) if rows[i] >> j & 1) for j in range(n)
     )
+    assert mat.path_costs == tuple(sum(mask >> i & 1 for i in range(m)) for mask in masks)
     full = (1 << m) - 1
     for j, mask in enumerate(masks, start=1):
         assert mat.survive_mask(j) == full & ~mask
+        assert mat.path_cost(j) == mat.path_costs[j - 1]
     assert mat.infeasible_fibers() == tuple(i + 1 for i in range(m) if rows[i] == 0)
 
 
