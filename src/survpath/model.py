@@ -258,8 +258,8 @@ class LogicalPath:
     ``used_mask`` is ``fibers_used`` as a bitmask, bit ``i-1`` for fiber ``i``
     (the encoding of :attr:`SurvivalMatrix.used_masks`).  It is derived when
     not given; a given mask must equal the derived one.  Enumerated paths are
-    built from their masks alone (:func:`_path_from_mask`), and their
-    ``fibers_used`` is derived from the mask the first time it is read.
+    built from their masks (:func:`_path_from_mask`), which give their
+    ``fibers_used``.
     """
 
     path_id: int
@@ -284,19 +284,6 @@ class LogicalPath:
                 f"{len(self.fibers_used)} fibers"
             )
 
-    def __getattr__(self, name: str):
-        # Called only when normal lookup fails: here, for the unset
-        # fibers_used slot of a path built by _path_from_mask.
-        if name != "fibers_used":
-            raise AttributeError(f"'LogicalPath' object has no attribute '{name}'")
-        # Grown in a set and frozen once, as fibers_of_links does.  A frozenset
-        # built straight from the generator gets a table up to twice as large
-        # (2,264 against 1,240 bytes for 25 fibers, CPython 3.11), which has
-        # raised peak RSS on layered-network job lists by up to 12%.
-        fibers = frozenset(set(_bit_ids(self.used_mask)))
-        object.__setattr__(self, "fibers_used", fibers)
-        return fibers
-
     @property
     def cost(self) -> int:
         return self.used_mask.bit_count()
@@ -317,14 +304,18 @@ def _path_from_mask(
     fibers_used: frozenset[int] | None = None,
 ) -> LogicalPath:
     """A path whose fields the caller has checked: no ``__init__`` and no
-    checks.  Without ``fibers_used``, :meth:`LogicalPath.__getattr__` derives
-    it from the mask when it is first read."""
+    checks.  Without ``fibers_used``, it is derived from the mask."""
+    if fibers_used is None:
+        # Grown in a set and frozen once, as fibers_of_links does.  A frozenset
+        # built straight from the generator gets a table up to twice as large
+        # (2,264 against 1,240 bytes for 25 fibers, CPython 3.11), which has
+        # raised peak RSS on layered-network job lists by up to 12%.
+        fibers_used = frozenset(set(_bit_ids(used_mask)))
     path = object.__new__(LogicalPath)
     _set_path_id(path, path_id)
     _set_links(path, links)
+    _set_fibers_used(path, fibers_used)
     _set_used_mask(path, used_mask)
-    if fibers_used is not None:
-        _set_fibers_used(path, fibers_used)
     return path
 
 
@@ -341,11 +332,13 @@ class SurvivalMatrix:
     (so ``a[i][j] == 0``).  Derived fields:
 
     * ``survive_masks[j-1]``: bit ``i-1`` set iff path ``j`` survives fiber ``i``;
+    * ``path_costs[j-1]``: number of fibers path ``j`` uses;
     * ``survive_rows[i-1]``: bit ``j-1`` set iff path ``j`` survives fiber ``i``;
     * ``fiber_load[i-1]``: number of paths using fiber ``i`` (row load).
 
-    ``survive_masks`` is built with the matrix; the other two on first read, by
-    the exact search, the LP, epsnet or a ``max_paths_per_fiber`` check only.
+    ``survive_masks`` and ``path_costs`` are built with the matrix; the other
+    two on first read, by the exact search, the LP or a
+    ``max_paths_per_fiber`` check only.
     Solvers read these tuples directly; the accessors below check ids.
     """
 
@@ -353,6 +346,7 @@ class SurvivalMatrix:
     num_paths: int
     used_masks: tuple[int, ...]
     survive_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    path_costs: tuple[int, ...] = field(init=False, repr=False, compare=False)
     survive_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     fiber_load: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -367,6 +361,7 @@ class SurvivalMatrix:
             j = next(j for j, mask in enumerate(masks, 1) if not 0 <= mask <= fiber_space)
             raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
         object.__setattr__(self, "survive_masks", tuple(fiber_space ^ used for used in masks))
+        object.__setattr__(self, "path_costs", tuple(map(int.bit_count, masks)))
 
     # -- constructors ------------------------------------------------------
 
@@ -431,7 +426,8 @@ class SurvivalMatrix:
 
     def path_cost(self, path: int) -> int:
         """Number of distinct fibers path ``path`` uses."""
-        return self.used_mask(path).bit_count()
+        self._check_path(path)
+        return self.path_costs[path - 1]
 
     # -- set queries -------------------------------------------------------
 
@@ -472,7 +468,7 @@ class SurvivalMatrix:
         return max(self.fiber_load, default=0)
 
     def max_path_cost(self) -> int:
-        return max((m.bit_count() for m in self.used_masks), default=0)
+        return max(self.path_costs, default=0)
 
 
 class _FiberMajorView:

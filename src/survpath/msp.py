@@ -141,10 +141,16 @@ def _greedy(
     is never taken.  With ``rng``, every step after the second is followed by
     one :func:`_substitution_sweep`.
 
+    Every caller passes unit costs or ``mat.used_masks``.  From an empty
+    ``start`` every fiber is then open and unpaid, so path j gains its
+    m - c_j survived fibers at cost 1 or c_j, and the first pick is the
+    lowest-id path on the fewest fibers, read off ``mat.path_costs``.
+
     Returns the selection, the per-step [path, cost, gain] trace and the
     paths the sweeps removed.
     """
-    if cost_masks is None:
+    unit = cost_masks is None
+    if unit:
         cost_masks = [1] * mat.num_paths
     full = mat.all_fibers_mask
     survive = mat.survive_masks
@@ -155,6 +161,15 @@ def _greedy(
         paid |= cost_masks[j - 1]
     trace: list[list[int]] = []
     removed: list[int] = []
+    if not selected:
+        m = mat.num_fibers
+        fewest = min(mat.path_costs, default=m)
+        if fewest < m:
+            j = mat.path_costs.index(fewest) + 1
+            selected.append(j)
+            covered = survive[j - 1]
+            paid = cost_masks[j - 1]
+            trace.append([j, 1 if unit else fewest, m - fewest])
     while covered != full:
         uncovered = ~covered
         unpaid = ~paid if dynamic else -1

@@ -40,6 +40,10 @@ class PathCatalog:
     ``complete`` is True when the catalog provably contains every admissible
     path (enumeration output); catalogs loaded from files are not assumed
     complete.  Path ids are dense and positional: ``paths[j-1].path_id == j``.
+
+    The paths' fiber masks, one tuple in path order, serve ``len`` and
+    :meth:`matrix`.  An enumerated catalog keeps the walk's link tuples and
+    masks, and builds its paths on the first read of ``paths``.
     """
 
     paths: tuple[LogicalPath, ...]
@@ -49,6 +53,7 @@ class PathCatalog:
     def __post_init__(self) -> None:
         k = self.limits.max_fibers_per_path
         seen_links: set[tuple[int, ...]] = set()
+        masks = []
         for pos, path in enumerate(self.paths, start=1):
             if path.path_id != pos:
                 raise ValidationError(
@@ -63,9 +68,11 @@ class PathCatalog:
                     f"catalog contains duplicate link sequence for path {path.path_id}"
                 )
             seen_links.add(path.links)
+            masks.append(path.used_mask)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self._masks)
 
     def fiber_sets(self) -> list[frozenset[int]]:
         return [p.fibers_used for p in self.paths]
@@ -76,28 +83,51 @@ class PathCatalog:
         The paths' own fiber masks go to the constructor as they are, and its
         range check rejects a fiber above ``num_fibers``.
         """
-        return SurvivalMatrix(
-            num_fibers, len(self.paths), tuple(p.used_mask for p in self.paths)
+        return SurvivalMatrix(num_fibers, len(self._masks), self._masks)
+
+
+class _EnumeratedPaths:
+    """``paths`` of an enumerated catalog: the first read builds them from the
+    walk's link tuples and masks and stores them on the catalog, shadowing
+    this descriptor (as ``model._FiberMajorView`` does for matrix views)."""
+
+    def __get__(self, catalog: PathCatalog | None, owner: type | None = None):
+        if catalog is None:
+            return self
+        masks = catalog._masks
+        paths = tuple(
+            map(_path_from_mask, range(1, len(masks) + 1), catalog._links, masks)
         )
+        object.__setattr__(catalog, "paths", paths)
+        return paths
 
 
-def _complete_catalog(paths: list[LogicalPath], limits: Limits) -> PathCatalog:
+# Set once the dataclass is built, which would take it for a field default.
+PathCatalog.paths = _EnumeratedPaths()
+
+
+def _complete_catalog(
+    links: tuple[tuple[int, ...], ...], masks: tuple[int, ...], limits: Limits
+) -> PathCatalog:
     """A catalog of :func:`_enumerate`'s paths without ``__post_init__``'s checks:
-    the walk numbers them densely, keeps the cap and meets each link sequence once."""
+    the walk numbers them densely, keeps the cap and meets each link sequence
+    once.  Its paths are built when first read."""
     catalog = object.__new__(PathCatalog)
-    vars(catalog).update(paths=tuple(paths), limits=limits, complete=True)
+    vars(catalog).update(_links=links, _masks=masks, limits=limits, complete=True)
     return catalog
 
 
-def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
+def _enumerate(
+    net: LayeredNetwork, cap: int | None
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """All simple s-t paths of the logical layer, fiber footprint <= cap.
 
     Neighbors are explored in ascending link-id order, so the walk meets the
     paths in link-sequence lexicographic order (no path is a prefix of another:
     each ends at its first visit to the sink), which fixes path ids
     deterministically.  Pruning is sound because a simple path's fiber union
-    only grows along a partial path.  Each path keeps the fiber mask that the
-    walk built for it.
+    only grows along a partial path.  Returns each path's link ids and the
+    fiber mask that the walk built for it, in path-id order.
     """
     adjacency: dict[str, list[tuple[int, str]]] = {n: [] for n in net.logical.nodes}
     for k, (u, v) in enumerate(net.logical.links, start=1):
@@ -142,7 +172,7 @@ def _enumerate(net: LayeredNetwork, cap: int | None) -> list[LogicalPath]:
             if stack:
                 prefix.pop()
 
-    return list(map(_path_from_mask, range(1, len(found) + 1), found, masks))
+    return tuple(found), tuple(masks)
 
 
 def enumerate_paths_k_restricted(net: LayeredNetwork, max_fibers: int) -> PathCatalog:
@@ -157,18 +187,18 @@ def enumerate_paths_k_restricted(net: LayeredNetwork, max_fibers: int) -> PathCa
     """
     if max_fibers < 1:
         raise ValidationError("max_fibers must be >= 1")
-    paths = _enumerate(net, max_fibers)
+    links, masks = _enumerate(net, max_fibers)
     bound = max(net.num_fibers, 1) ** min(max_fibers, net.num_fibers)
-    if len(paths) > bound:
-        footprints = len({p.used_mask for p in paths})
+    if len(masks) > bound:
+        footprints = len(set(masks))
         if footprints > bound:
             raise SurvPathError(
                 f"enumeration found {footprints} distinct fiber sets, above "
                 f"the m^K bound {bound}"
             )
-    return _complete_catalog(paths, Limits(max_fibers_per_path=max_fibers))
+    return _complete_catalog(links, masks, Limits(max_fibers_per_path=max_fibers))
 
 
 def enumerate_paths_unrestricted(net: LayeredNetwork) -> PathCatalog:
     """Enumerate every simple s-t logical path with no fiber cap."""
-    return _complete_catalog(_enumerate(net, None), Limits())
+    return _complete_catalog(*_enumerate(net, None), Limits())

@@ -38,7 +38,6 @@ from survpath import (
     mfsp_nacg,
     msp_exact,
 )
-from survpath.model import LogicalPath
 from survpath.msp import _Budget, _greedy, _min_cover_size, _substitution_sweep
 
 from oracles import brute_completion_cost, random_feasible_matrix
@@ -153,10 +152,7 @@ def test_substitution_sweep_rejects_a_coverage_loss():
 def test_enumeration_above_the_footprint_bound_raises(monkeypatch):
     # Two fibers and K=1 allow at most 2 distinct fiber sets; report three.
     net = _parallel_net(links=1, fibers=2)
-    fake = [
-        LogicalPath(path_id=j, links=(j,), fibers_used=frozenset(fs))
-        for j, fs in enumerate(([1], [2], [1, 2]), start=1)
-    ]
+    fake = (((1,), (2,), (3,)), (0b01, 0b10, 0b11))
     monkeypatch.setattr(survpath.pathing, "_enumerate", lambda net, cap: fake)
     with pytest.raises(SurvPathError, match="3 distinct fiber sets, above the m\\^K bound 2"):
         enumerate_paths_k_restricted(net, 1)
