@@ -20,11 +20,8 @@ from random import Random
 import survpath.cli
 from survpath import (
     LayeredNetwork,
-    LightpathRouting,
     LogicalPath,
-    LogicalTopology,
     PathCatalog,
-    PhysicalTopology,
     SurvivalMatrix,
     enumerate_paths_k_restricted,
     enumerate_paths_unrestricted,
@@ -32,6 +29,7 @@ from survpath import (
 )
 from survpath.cli import main
 
+from test_exact_invariants import _parallel_net
 from test_matrix_derived import random_layered
 
 
@@ -75,17 +73,6 @@ def test_len_limits_complete_and_matrix_build_no_path():
             assert not paths_built(catalog)
             checked += len(twin)
     assert checked > 100
-
-
-def _parallel_net(links: int, fibers: int) -> LayeredNetwork:
-    """``links`` parallel s-t logical links over fiber 1 of ``fibers``."""
-    return LayeredNetwork(
-        physical=PhysicalTopology(nodes=("s", "t"), fibers=(("s", "t"),) * fibers),
-        logical=LogicalTopology(
-            nodes=("s", "t"), links=(("s", "t"),) * links, source="s", sink="t"
-        ),
-        routing=LightpathRouting(routes=((1,),) * links),
-    )
 
 
 def test_the_footprint_check_builds_no_path():

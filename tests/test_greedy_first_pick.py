@@ -86,7 +86,7 @@ def test_seeded_starts_and_sweeps_match_the_scan():
     assert starts > 100 and sweeps > 10
 
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
