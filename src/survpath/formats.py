@@ -48,9 +48,8 @@ from .model import (
     SurvivalMatrix,
     ValidationError,
     _fiber_mask,
-    _path_from_mask,
 )
-from .pathing import PathCatalog
+from .pathing import PathCatalog, _trusted_catalog
 
 __all__ = [
     "ParallelInstance",
@@ -187,6 +186,7 @@ def read_spn(source) -> ParallelInstance:
     per-path cap respected, declared per-fiber load cap respected, and — when a
     load cap ``w`` is declared — at most ``w * fibers`` paths (the count bound
     implied by the cap: every fiber can serve at most ``w`` distinct paths).
+    The catalog builds its paths when ``paths`` is first read.
     """
     lines = _open_lines(source, "<spn>")
     shape = f"'spn {SPN_VERSION}' header"
@@ -208,7 +208,6 @@ def read_spn(source) -> ParallelInstance:
         what = "load cap" if parts[0] == "w" else "fiber cap"
         caps[parts[0]] = _int_field(lines, lineno, parts[1], what)
         lines.pos += 1
-    w_cap, k_cap = caps.get("w"), caps.get("k")
 
     pids: list[int] = []
     fiber_sets: list[frozenset[int]] = []
@@ -222,20 +221,33 @@ def read_spn(source) -> ParallelInstance:
     fiber_sets = _by_id(lines, pids, fiber_sets, "path", " with no duplicates")
 
     try:
-        limits = Limits(max_fibers_per_path=k_cap, max_paths_per_fiber=w_cap)
+        limits = Limits(max_fibers_per_path=caps.get("k"), max_paths_per_fiber=caps.get("w"))
     except ValidationError as exc:
         raise ValidationError(f"{lines.name}: {exc}") from None
 
+    return _parallel_instance(f"{lines.name}: ", num_fibers, fiber_sets, limits)
+
+
+def _parallel_instance(
+    where: str, num_fibers: int, fiber_sets: Sequence[frozenset[int]], limits: Limits
+) -> ParallelInstance:
+    """The instance whose path ``j`` (link ``j`` alone) uses the fibers
+    ``fiber_sets[j-1]``, all in ``1..num_fibers``.  Raises
+    :class:`ValidationError`, its message after ``where``, for more than
+    ``w * num_fibers`` paths, a path above ``k`` fibers or a fiber above ``w``
+    paths; with the dense ids, that is all ``PathCatalog(...)`` would check.
+    """
+    w_cap, k_cap = limits.max_paths_per_fiber, limits.max_fibers_per_path
     if w_cap is not None and len(fiber_sets) > w_cap * num_fibers:
         raise ValidationError(
-            f"{lines.name}: {len(fiber_sets)} paths exceeds the w*m bound "
+            f"{where}{len(fiber_sets)} paths exceeds the w*m bound "
             f"{w_cap * num_fibers} implied by the declared load cap"
         )
     if k_cap is not None:
         for pid, fibers in enumerate(fiber_sets, start=1):
             if len(fibers) > k_cap:
                 raise ValidationError(
-                    f"{lines.name}: path {pid} uses {len(fibers)} fibers, above the "
+                    f"{where}path {pid} uses {len(fibers)} fibers, above the "
                     f"declared cap k={k_cap}"
                 )
     if w_cap is not None:
@@ -243,16 +255,12 @@ def read_spn(source) -> ParallelInstance:
         over = [f for f, count in load.items() if count > w_cap]
         if over:
             raise ValidationError(
-                f"{lines.name}: fiber {min(over)} carries {load[min(over)]} paths, above "
+                f"{where}fiber {min(over)} carries {load[min(over)]} paths, above "
                 f"the declared load cap w={w_cap}"
             )
-
-    # Every fiber id is in 1..m (checked above).
-    paths = tuple(
-        _path_from_mask(pid, (pid,), _fiber_mask(fibers), fibers)
-        for pid, fibers in enumerate(fiber_sets, start=1)
-    )
-    catalog = PathCatalog(paths=paths, limits=limits, complete=False)
+    links = tuple(zip(range(1, len(fiber_sets) + 1)))  # (1,), (2,), ...
+    masks = tuple(map(_fiber_mask, fiber_sets))
+    catalog = _trusted_catalog(links, masks, limits, complete=False)
     return ParallelInstance(num_fibers=num_fibers, catalog=catalog)
 
 
@@ -274,13 +282,13 @@ def write_spn(instance: ParallelInstance, target) -> None:
 
 
 def matrix_to_instance(mat: SurvivalMatrix, limits: Limits = Limits()) -> ParallelInstance:
-    """Wrap a survival matrix as a parallel instance (for saving to ``.spn``)."""
-    # The matrix has checked its masks, so the paths are built from them alone.
-    paths = tuple(
-        _path_from_mask(j, (j,), mask) for j, mask in enumerate(mat.used_masks, start=1)
-    )
-    catalog = PathCatalog(paths=paths, limits=limits, complete=False)
-    return ParallelInstance(num_fibers=mat.num_fibers, catalog=catalog)
+    """Wrap a survival matrix as a parallel instance (for saving to ``.spn``).
+
+    Raises :class:`ValidationError` for a matrix that breaks a declared cap,
+    as :func:`read_spn` would on the written file.
+    """
+    fiber_sets = [mat.path_fibers(j) for j in range(1, mat.num_paths + 1)]
+    return _parallel_instance("", mat.num_fibers, fiber_sets, limits)
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,7 @@ class LogicalPath:
 
     ``used_mask`` is ``fibers_used`` as a bitmask, bit ``i-1`` for fiber ``i``
     (the encoding of :attr:`SurvivalMatrix.used_masks`).  It is derived when
-    not given; a given mask must equal the derived one.  Enumerated paths are
-    built from their masks (:func:`_path_from_mask`), which give their
-    ``fibers_used``.
+    not given; a given mask must equal the derived one.
     """
 
     path_id: int
@@ -289,34 +287,26 @@ class LogicalPath:
         return self.used_mask.bit_count()
 
 
-# The slots' own setters: they bypass the frozen __setattr__, as
-# object.__setattr__ does, and cost less per call.
-_set_path_id = LogicalPath.path_id.__set__
-_set_links = LogicalPath.links.__set__
-_set_fibers_used = LogicalPath.fibers_used.__set__
-_set_used_mask = LogicalPath.used_mask.__set__
+class _built_on_read:
+    """Decorates a method that builds a view of its object.  The first read of
+    the name calls it and stores the value on the object with
+    ``object.__setattr__``, shadowing this non-data descriptor, so later reads
+    are plain loads.  ``functools.cached_property`` writes ``obj.__dict__``
+    instead, which on CPython 3.11 materialises the dict and makes every load
+    on the object two to three times as slow.  Read on the class, the name
+    raises AttributeError, so a dataclass field it stands in for has no default.
+    """
 
+    def __init__(self, build) -> None:
+        self.build = build
+        self.name = build.__name__
 
-def _path_from_mask(
-    path_id: int,
-    links: tuple[int, ...],
-    used_mask: int,
-    fibers_used: frozenset[int] | None = None,
-) -> LogicalPath:
-    """A path whose fields the caller has checked: no ``__init__`` and no
-    checks.  Without ``fibers_used``, it is derived from the mask."""
-    if fibers_used is None:
-        # Grown in a set and frozen once, as fibers_of_links does.  A frozenset
-        # built straight from the generator gets a table up to twice as large
-        # (2,264 against 1,240 bytes for 25 fibers, CPython 3.11), which has
-        # raised peak RSS on layered-network job lists by up to 12%.
-        fibers_used = frozenset(set(_bit_ids(used_mask)))
-    path = object.__new__(LogicalPath)
-    _set_path_id(path, path_id)
-    _set_links(path, links)
-    _set_fibers_used(path, fibers_used)
-    _set_used_mask(path, used_mask)
-    return path
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = self.build(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +335,10 @@ class SurvivalMatrix:
     num_fibers: int
     num_paths: int
     used_masks: tuple[int, ...]
+    # Plain attributes, not views: solvers load them outside their hoisted
+    # loops, and a load that a descriptor shadows costs about twice as much.
     survive_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     path_costs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    survive_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    fiber_load: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_fibers < 0 or self.num_paths < 0:
@@ -362,6 +352,30 @@ class SurvivalMatrix:
             raise ValidationError(f"path {j} uses a fiber outside 1..{self.num_fibers}")
         object.__setattr__(self, "survive_masks", tuple(fiber_space ^ used for used in masks))
         object.__setattr__(self, "path_costs", tuple(map(int.bit_count, masks)))
+
+    @_built_on_read
+    def survive_rows(self) -> tuple[int, ...]:
+        # Transpose in C, one byte column at a time: byte b of every mask, path 1
+        # lowest, read as one int and printed as one binary string of 8 digits per
+        # path, last path first.  Digit 7-t of each group is then fiber 8b+t+1 of
+        # one path, so one strided slice read in base 2 is that fiber's used-row.
+        # The cost does not depend on the fill; one column's digits live at a time.
+        width = (self.num_fibers + 7) // 8
+        packed = b"".join(mask.to_bytes(width, "little") for mask in self.used_masks)
+        everyone = self.all_paths_mask
+        rows = []
+        for b in range(width):
+            column = int.from_bytes(packed[b::width], "little")
+            digits = format(column, f"0{8 * self.num_paths}b")
+            for t in range(min(8, self.num_fibers - 8 * b)):
+                # With no paths the slice is empty (or the lone "0" of zero).
+                rows.append(everyone ^ int(digits[7 - t :: 8] or "0", 2))
+        return tuple(rows)
+
+    @_built_on_read
+    def fiber_load(self) -> tuple[int, ...]:
+        n = self.num_paths
+        return tuple(n - row.bit_count() for row in self.survive_rows)
 
     # -- constructors ------------------------------------------------------
 
@@ -471,41 +485,11 @@ class SurvivalMatrix:
         return max(self.path_costs, default=0)
 
 
-class _FiberMajorView:
-    """``survive_rows`` or ``fiber_load``: a first read builds both on the matrix,
-    shadowing this descriptor; ``__getattr__`` would slow every attribute load."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, mat: SurvivalMatrix | None, owner: type | None = None):
-        if mat is None:
-            return self
-        # Transpose in C, one byte column at a time: byte b of every mask, path 1
-        # lowest, read as one int and printed as one binary string of 8 digits per
-        # path, last path first.  Digit 7-t of each group is then fiber 8b+t+1 of
-        # one path, so one strided slice read in base 2 is that fiber's used-row.
-        # The cost does not depend on the fill; one column's digits live at a time.
-        width = (mat.num_fibers + 7) // 8
-        packed = b"".join(mask.to_bytes(width, "little") for mask in mat.used_masks)
-        everyone = mat.all_paths_mask
-        rows, load = [], []
-        for b in range(width):
-            column = int.from_bytes(packed[b::width], "little")
-            digits = format(column, f"0{8 * mat.num_paths}b")
-            for t in range(min(8, mat.num_fibers - 8 * b)):
-                # With no paths the slice is empty (or the lone "0" of zero).
-                used = int(digits[7 - t :: 8] or "0", 2)
-                rows.append(everyone ^ used)
-                load.append(used.bit_count())
-        object.__setattr__(mat, "survive_rows", tuple(rows))
-        object.__setattr__(mat, "fiber_load", tuple(load))
-        return getattr(mat, self.name)
-
-
-# Set once the dataclass is built, which would take them for field defaults.
-SurvivalMatrix.survive_rows = _FiberMajorView("survive_rows")
-SurvivalMatrix.fiber_load = _FiberMajorView("fiber_load")
+# CPython 3.11 on keeps attributes inline only under names the class has met,
+# and each new instance leaves less room for names it has not: after about 23
+# matrices that read no view, a matrix that reads one gets a dict.  The views
+# of one matrix read here are met for good.
+SurvivalMatrix(0, 0, ()).fiber_load
 
 
 def _fiber_mask(fibers: Iterable[int]) -> int:

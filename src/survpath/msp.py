@@ -622,7 +622,10 @@ def msp_epsnet(
     while guess <= n:
         epsilon = 1.0 / (2.0 * guess)
         ratio = dimension / epsilon
-        sample_size = max(1, math.ceil(c * ratio * math.log2(max(ratio, 2.0))))
+        size = c * ratio * math.log2(max(ratio, 2.0))
+        if not math.isfinite(size):
+            raise PreconditionError(f"sampling constant c={c} gives no finite sample size")
+        sample_size = max(1, math.ceil(size))
         if m > guess:
             round_cap = math.ceil(4.0 * guess * math.log2(m / guess)) + 1
         else:

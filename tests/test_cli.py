@@ -227,6 +227,28 @@ ERROR_TABLE = [
         "survpath solve: randomized search failed (seed=0): no survivable sample "
         "after 14 rounds across all size guesses\n", "",
     ),
+    # A sampling constant whose sample size is no finite number is a usage
+    # error, as a non-positive one is.
+    (
+        ("solve", "msp", "--alg", "epsnet", "--in", PAIRWISE3, "--c", "nan"), 64,
+        "survpath solve: error: sampling constant c=nan gives no finite sample size\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "epsnet", "--in", PAIRWISE3, "--c", "inf"), 64,
+        "survpath solve: error: sampling constant c=inf gives no finite sample size\n", "",
+    ),
+    (
+        ("solve", "msp", "--alg", "epsnet", "--in", PAIRWISE3, "--c", "1e308"), 64,
+        "survpath solve: error: sampling constant c=1e+308 gives no finite sample size\n", "",
+    ),
+    (
+        ("solve", "mfsp", "--alg", "epsnet", "--in", PAIRWISE3, "--w", "2", "--c", "nan"), 64,
+        "survpath solve: error: sampling constant c=nan gives no finite sample size\n", "",
+    ),
+    (
+        (*BENCH_SMALL, "--w-range", "2..2", "--algs", "epsnet", "--c", "inf"), 64,
+        "survpath bench: error: sampling constant c=inf gives no finite sample size\n", "",
+    ),
     (
         ("solve", "msp", "--alg", "exact", "--in", PAIRWISE3, "--node-limit", "0"), 3,
         "survpath solve: exact search exceeded its node budget after 1 nodes\n", "",

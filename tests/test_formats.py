@@ -137,6 +137,64 @@ def test_spn_round_trip_random(tmp_path):
         assert buf.getvalue() == target.read_text()
 
 
+def _canonical_spn(num_fibers: int, fiber_sets, limits: Limits) -> str:
+    """The ``.spn`` text ``write_spn`` writes for these paths, built by hand."""
+    caps = [("w", limits.max_paths_per_fiber), ("k", limits.max_fibers_per_path)]
+    lines = ["spn 1", f"fibers {num_fibers}"]
+    lines += [f"{name} {cap}" for name, cap in caps if cap is not None]
+    for j, fibers in enumerate(fiber_sets, start=1):
+        lines.append(" ".join([f"path {j}:", *(f"f{f}" for f in sorted(fibers))]))
+    return "\n".join(lines) + "\n"
+
+
+# (fiber count, fiber sets, caps) that read_spn rejects, or accepts, in writing.
+MATRIX_CAPS = [
+    # Fiber 1 carries two paths under w=1.
+    (2, [[1], [1, 2]], Limits(max_paths_per_fiber=1)),
+    # Three paths exceed w*m = 1, though no fiber carries more than one; one
+    # path exceeds w*m = 0.
+    (1, [[], [], [1]], Limits(max_paths_per_fiber=1)),
+    (0, [[]], Limits(max_paths_per_fiber=2)),
+    # Path 1 uses two fibers under k=1.
+    (3, [[1, 2], [3]], Limits(max_fibers_per_path=1)),
+    (3, [[1, 2], [3], []], Limits(max_fibers_per_path=2, max_paths_per_fiber=1)),
+]
+
+
+def test_matrix_to_instance_rejects_exactly_what_read_spn_rejects_in_writing():
+    # A matrix that breaks a declared cap once gave an instance that
+    # write_spn wrote and read_spn then rejected.
+    rng = Random("matrix-to-instance")
+    cases = list(MATRIX_CAPS)
+    for _ in range(300):
+        m = rng.randint(0, 5)
+        sets = [
+            rng.sample(range(1, m + 1), rng.randint(0, m)) for _ in range(rng.randint(0, 6))
+        ]
+        caps = [rng.choice([None, 1, 2, 3]) for _ in range(2)]
+        cases.append((m, sets, Limits(*caps)))
+    accepted = 0
+    for m, sets, limits in cases:
+        text = _canonical_spn(m, sets, limits)
+        mat = SurvivalMatrix.from_fiber_sets(m, sets)
+        try:
+            read = _parse(text)
+        except ValidationError as exc:
+            assert str(exc).startswith("<spn>: ")
+            with pytest.raises(ValidationError) as exc_info:
+                matrix_to_instance(mat, limits)
+            assert str(exc_info.value) == str(exc)[len("<spn>: ") :]
+            continue
+        instance = matrix_to_instance(mat, limits)
+        buf = io.StringIO()
+        write_spn(instance, buf)
+        assert buf.getvalue() == text
+        assert instance.matrix() == read.matrix() == mat
+        assert instance.limits == read.limits == limits
+        accepted += 1
+    assert 50 < accepted < len(cases) - 50
+
+
 # ---------------------------------------------------------------------------
 # .lnet parsing
 # ---------------------------------------------------------------------------

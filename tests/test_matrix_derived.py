@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import pickle
+import subprocess
+import sys
 from functools import reduce
 from operator import and_
 from random import Random
@@ -38,8 +41,10 @@ from survpath import (
     mfsp_nacg,
     mfsp_rsg,
     msp_epsnet,
+    msp_exact,
     msp_greedy,
     require_feasible,
+    solve_mfsp_relaxation,
 )
 
 SIZES = (0, 1, 2, 7, 8, 9, 63, 64, 65, 300)
@@ -250,6 +255,43 @@ def test_the_greedy_family_never_builds_the_fiber_major_views():
         assert (clone.survive_rows, clone.fiber_load) == expected
         assert clone.survive_masks == mat.survive_masks
     assert all(fiber_major_built(clone) for clone in after)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="every instance has a dict before CPython 3.11"
+)
+def test_the_views_keep_the_matrix_attributes_inline():
+    # CPython 3.11 keeps an instance's attributes in an inline array until
+    # something asks for its __dict__; from then on every attribute load on
+    # the matrix costs two to three times as much.  vars() asks for it, so
+    # the views are checked only after the referents are.
+    mat = feasible_k_restricted_matrix()
+    expected = reference_rows(mat.num_fibers, mat.used_masks)
+    assert (mat.survive_rows, mat.fiber_load) == expected
+    msp_exact(mat)
+    solve_mfsp_relaxation(mat)
+    assert not [ref for ref in gc.get_referents(mat) if isinstance(ref, dict)]
+    assert fiber_major_built(mat)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="every instance has a dict before CPython 3.11"
+)
+def test_views_read_after_many_matrices_stay_inline():
+    # Each new instance leaves less room in the inline array for names the
+    # class has not met; once about 23 matrices had read no view, a matrix
+    # that read one got a dict.  A fresh interpreter, so that no earlier test
+    # has read a view first.
+    code = (
+        "import gc\n"
+        "from survpath import SurvivalMatrix\n"
+        "made = [SurvivalMatrix(2, 1, (1,)) for _ in range(100)]\n"
+        "mat = SurvivalMatrix(2, 1, (1,))\n"
+        "assert mat.survive_rows == (0, 1) and mat.fiber_load == (1, 0)\n"
+        "print(sum(isinstance(ref, dict) for ref in gc.get_referents(mat)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize(
