@@ -8,9 +8,12 @@ cost.  This file fixes what each returns, ``to_dict()`` with timing zeroed
 so a rewrite of the greedy cannot change a single pick or tie-break.
 
 The corpus is the two feasible packaged ``.spn`` files followed by 100
-``random_feasible_matrix`` instances drawn from one seeded stream.  Each
-solver's reports are pinned as the SHA-256 of their JSON list
-(``json.dumps(reports, sort_keys=True)``).
+``random_feasible_matrix`` instances drawn from one seeded stream.  A second,
+wide corpus holds only matrices with more paths than fibers: random ones,
+deep ones whose paths each survive one to three fibers (so the greedy takes
+many steps), and the K-restricted catalogs of small random layered networks.
+Each solver's reports on each corpus are pinned as the SHA-256 of their JSON
+list (``json.dumps(reports, sort_keys=True)``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import pytest
 from survpath import (
     InfeasibleInstanceError,
     RoundingConfig,
+    SurvivalMatrix,
+    enumerate_paths_k_restricted,
     mfsp_acg,
     mfsp_nacg,
     mfsp_randomized_rounding,
@@ -35,6 +40,7 @@ from survpath import (
 from survpath.lp import solve_mfsp_relaxation
 
 from oracles import random_feasible_matrix
+from test_matrix_derived import random_layered
 
 # A low target: few rounds, so some rounded selections miss a fiber and the
 # greedy repair completes them.
@@ -46,6 +52,38 @@ def _corpus():
     mats = [read_spn(packaged_instance(name)).matrix() for name in names]
     rng = Random("greedy-pins")
     mats += [random_feasible_matrix(rng, max_paths=10, max_fibers=10) for _ in range(100)]
+    return mats
+
+
+def _deep_wide_matrix(rng: Random) -> SurvivalMatrix:
+    """More paths than fibers, each path surviving one to three fibers."""
+    while True:
+        m = rng.randint(6, 12)
+        n = rng.randint(m + 1, 2 * m + 4)
+        full = (1 << m) - 1
+        masks = tuple(
+            full ^ sum(1 << i for i in rng.sample(range(m), rng.randint(1, 3)))
+            for _ in range(n)
+        )
+        mat = SurvivalMatrix(m, n, masks)
+        if not mat.infeasible_fibers():
+            return mat
+
+
+def _wide_corpus():
+    rng = Random("greedy-pins-wide")
+    mats = [
+        random_feasible_matrix(rng, min_paths=13, max_paths=40, max_fibers=12)
+        for _ in range(40)
+    ]
+    mats += [_deep_wide_matrix(rng) for _ in range(30)]
+    nets = 0
+    while nets < 8:
+        net = random_layered(rng)
+        mat = enumerate_paths_k_restricted(net, rng.randint(2, 5)).matrix(net.num_fibers)
+        if mat.num_paths > mat.num_fibers and not mat.infeasible_fibers():
+            mats.append(mat)
+            nets += 1
     return mats
 
 
@@ -79,14 +117,34 @@ DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def reports():
+WIDE_DIGESTS = {
+    "msp_greedy": "842a08c96c4ea0bf1853961bcd425144e80c7b5f4d4eb3ed158bc3918b2dcfe3",
+    "mfsp_acg": "81c716e23fb575d9c1314e6d4970fa5314ba01d372bdef9b49fc7e2597e21b94",
+    "mfsp_nacg": "2189eebb3215c5d7130d0877eaa0e80611e163a08ad61c9ad0d64eb8c5c49e3f",
+    "mfsp_rsg/0": "42b99a536b983358acd2ff8aa4861f2702428b8dc5b0451dce97b6b5f90d10b2",
+    "mfsp_rsg/1": "6f5bc9f39f1bce012639ed12ccc9625388e51d649daf9fd4ab4f19a1c08ac4d0",
+    "mfsp_rounding/0": "a4b3b09b13a1b009a2ba0a86e8bc4b972ce224420a0402176d933a3a153feb0b",
+    "mfsp_rounding/1": "7e85bc107b4768d860d2446bfb5e2beacc5cbb5bb7fd3f366e6f13cb73b339c7",
+}
+
+
+def _reports(mats):
     out = {name: [] for name in SOLVERS}
-    for mat in _corpus():
+    for mat in mats:
         relaxation = solve_mfsp_relaxation(mat)
         for name, solve in SOLVERS.items():
             out[name].append(solve(mat, relaxation).to_dict())
     return out
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return _reports(_corpus())
+
+
+@pytest.fixture(scope="module")
+def wide_reports():
+    return _reports(_wide_corpus())
 
 
 def _digest(dicts) -> str:
@@ -98,10 +156,22 @@ def test_greedy_reports_are_pinned(reports, name):
     assert _digest(reports[name]) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_wide_greedy_reports_are_pinned(wide_reports, name):
+    assert _digest(wide_reports[name]) == WIDE_DIGESTS[name]
+
+
 def test_the_repair_runs_on_part_of_the_corpus(reports):
     for name in ("mfsp_rounding/0", "mfsp_rounding/1"):
         repaired = sum("repair_added" in r["extra"] for r in reports[name])
         assert repaired >= 5, (name, repaired)
+
+
+def test_the_wide_corpus_takes_deep_greedies_repairs_and_sweeps(wide_reports):
+    steps = [len(r["extra"]["selections"]) for r in wide_reports["msp_greedy"]]
+    removed = sum(len(r["extra"]["removed"]) for r in wide_reports["mfsp_rsg/0"])
+    repaired = sum("repair_added" in r["extra"] for r in wide_reports["mfsp_rounding/0"])
+    assert max(steps) >= 6 and removed >= 5 and repaired >= 5, (max(steps), removed, repaired)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
