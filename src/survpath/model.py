@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -309,6 +310,30 @@ class _built_on_read:
         return value
 
 
+def _byte_columns(values: Sequence[int], width: int) -> tuple[bytes, ...]:
+    """Byte ``b`` of every value in ``values`` (each below ``256**width``),
+    last value first, for ``b`` in ``range(width)``: the form :func:`_bit_row`
+    decodes."""
+    if width == 1:
+        packed = bytes(values[::-1])
+    else:
+        packed = b"".join(map(int.to_bytes, reversed(values), repeat(width), repeat("little")))
+    return tuple(packed[b::width] for b in range(width))
+
+
+# _BIT_DIGITS[t] maps a byte to the ASCII digit of its bit t.
+_BIT_DIGITS = tuple(bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8))
+
+
+def _bit_row(columns: Sequence[bytes], i: int) -> int:
+    """Bit ``i`` of every value packed by :func:`_byte_columns`, as a mask
+    with the first value in bit 0: bit ``i % 8`` of each byte of column
+    ``i // 8``, read as one binary numeral.  On the matrix's
+    :attr:`~SurvivalMatrix.used_columns` this is fiber ``i+1``'s used-row."""
+    # With no values the column is empty, and so is the numeral.
+    return int(columns[i >> 3].translate(_BIT_DIGITS[i & 7]) or b"0", 2)
+
+
 # ---------------------------------------------------------------------------
 # Survival matrix
 # ---------------------------------------------------------------------------
@@ -324,11 +349,15 @@ class SurvivalMatrix:
     * ``survive_masks[j-1]``: bit ``i-1`` set iff path ``j`` survives fiber ``i``;
     * ``path_costs[j-1]``: number of fibers path ``j`` uses;
     * ``survive_rows[i-1]``: bit ``j-1`` set iff path ``j`` survives fiber ``i``;
-    * ``fiber_load[i-1]``: number of paths using fiber ``i`` (row load).
+    * ``fiber_load[i-1]``: number of paths using fiber ``i`` (row load);
+    * ``used_columns[b]``: byte ``b`` of every used mask, path ``n`` first,
+      from which :func:`_bit_row` decodes any one fiber's used-row.
 
     ``survive_masks`` and ``path_costs`` are built with the matrix; the other
-    two on first read, by the exact search, the LP or a
-    ``max_paths_per_fiber`` check only.
+    three on first read: ``used_columns`` by the greedy on a matrix with more
+    paths than fibers, or with ``survive_rows``; ``survive_rows`` and
+    ``fiber_load`` by the exact search, the LP or a ``max_paths_per_fiber``
+    check only.
     Solvers read these tuples directly; the accessors below check ids.
     """
 
@@ -354,23 +383,14 @@ class SurvivalMatrix:
         object.__setattr__(self, "path_costs", tuple(map(int.bit_count, masks)))
 
     @_built_on_read
+    def used_columns(self) -> tuple[bytes, ...]:
+        return _byte_columns(self.used_masks, (self.num_fibers + 7) // 8)
+
+    @_built_on_read
     def survive_rows(self) -> tuple[int, ...]:
-        # Transpose in C, one byte column at a time: byte b of every mask, path 1
-        # lowest, read as one int and printed as one binary string of 8 digits per
-        # path, last path first.  Digit 7-t of each group is then fiber 8b+t+1 of
-        # one path, so one strided slice read in base 2 is that fiber's used-row.
-        # The cost does not depend on the fill; one column's digits live at a time.
-        width = (self.num_fibers + 7) // 8
-        packed = b"".join(mask.to_bytes(width, "little") for mask in self.used_masks)
+        columns = self.used_columns
         everyone = self.all_paths_mask
-        rows = []
-        for b in range(width):
-            column = int.from_bytes(packed[b::width], "little")
-            digits = format(column, f"0{8 * self.num_paths}b")
-            for t in range(min(8, self.num_fibers - 8 * b)):
-                # With no paths the slice is empty (or the lone "0" of zero).
-                rows.append(everyone ^ int(digits[7 - t :: 8] or "0", 2))
-        return tuple(rows)
+        return tuple(everyone ^ _bit_row(columns, i) for i in range(self.num_fibers))
 
     @_built_on_read
     def fiber_load(self) -> tuple[int, ...]:
@@ -489,7 +509,9 @@ class SurvivalMatrix:
 # and each new instance leaves less room for names it has not: after about 23
 # matrices that read no view, a matrix that reads one gets a dict.  The views
 # of one matrix read here are met for good.
-SurvivalMatrix(0, 0, ()).fiber_load
+_EMPTY = SurvivalMatrix(0, 0, ())
+_EMPTY.used_columns, _EMPTY.survive_rows, _EMPTY.fiber_load
+del _EMPTY
 
 
 def _fiber_mask(fibers: Iterable[int]) -> int:

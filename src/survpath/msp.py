@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     Limits,
@@ -41,6 +41,8 @@ from .model import (
     SurvPathError,
     SurvivalMatrix,
     _bit_ids,
+    _bit_row,
+    _byte_columns,
     require_feasible,
 )
 
@@ -141,18 +143,32 @@ def _greedy(
     is never taken.  With ``rng``, every step after the second is followed by
     one :func:`_substitution_sweep`.
 
-    Every caller passes unit costs or ``mat.used_masks``.  From an empty
-    ``start`` every fiber is then open and unpaid, so path j gains its
-    m - c_j survived fibers at cost 1 or c_j, and the first pick is the
-    lowest-id path on the fewest fibers, read off ``mat.path_costs``.
+    Every caller passes unit costs or ``mat.used_masks``, and dynamic mode
+    only with the latter.  From an empty ``start`` every fiber is then open
+    and unpaid, so path j gains its m - c_j survived fibers at cost 1 or c_j,
+    and the first pick is the lowest-id path on the fewest fibers, read off
+    ``mat.path_costs``.
+
+    Later steps scan every path when the matrix has no more paths than
+    fibers (:func:`_scanning_greedy`), and otherwise read bit-sliced counters
+    (:func:`_bit_sliced_greedy`); both take the same paths.
 
     Returns the selection, the per-step [path, cost, gain] trace and the
     paths the sweeps removed.
     """
+    greedy = _bit_sliced_greedy if mat.num_paths > mat.num_fibers else _scanning_greedy
+    return greedy(mat, cost_masks, dynamic=dynamic, start=start, rng=rng)
+
+
+def _greedy_start(
+    mat: SurvivalMatrix, cost_masks: Sequence[int] | None, start: Iterable[int]
+) -> tuple[Sequence[int], list[int], int, int, list[list[int]]]:
+    """The cost masks (all 1 for unit cost), the selection, the fibers it
+    covers and pays, and the trace, once ``start`` is in and, from an empty
+    ``start``, the first pick is taken."""
     unit = cost_masks is None
     if unit:
         cost_masks = [1] * mat.num_paths
-    full = mat.all_fibers_mask
     survive = mat.survive_masks
     selected = list(start)
     covered = paid = 0
@@ -160,7 +176,6 @@ def _greedy(
         covered |= survive[j - 1]
         paid |= cost_masks[j - 1]
     trace: list[list[int]] = []
-    removed: list[int] = []
     if not selected:
         m = mat.num_fibers
         fewest = min(mat.path_costs, default=m)
@@ -170,6 +185,23 @@ def _greedy(
             covered = survive[j - 1]
             paid = cost_masks[j - 1]
             trace.append([j, 1 if unit else fewest, m - fewest])
+    return cost_masks, selected, covered, paid, trace
+
+
+def _scanning_greedy(
+    mat: SurvivalMatrix,
+    cost_masks: Sequence[int] | None = None,
+    *,
+    dynamic: bool = False,
+    start: Iterable[int] = (),
+    rng: Random | None = None,
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """:func:`_greedy` with every step after the first a scan of all paths,
+    two ``bit_count`` calls each."""
+    cost_masks, selected, covered, paid, trace = _greedy_start(mat, cost_masks, start)
+    full = mat.all_fibers_mask
+    survive = mat.survive_masks
+    removed: list[int] = []
     while covered != full:
         uncovered = ~covered
         unpaid = ~paid if dynamic else -1
@@ -186,10 +218,7 @@ def _greedy(
             if lhs < rhs or (lhs == rhs and cost < best_cost):
                 best_j, best_cost, best_gain = j, cost, gain
         if not best_j:
-            raise SurvPathError(
-                "greedy found no path surviving an uncovered fiber; the "
-                "feasibility precheck should have caught this instance"
-            )
+            _no_candidate()
         selected.append(best_j)
         covered |= survive[best_j - 1]
         paid |= cost_masks[best_j - 1]
@@ -202,6 +231,156 @@ def _greedy(
                 for j in selected:
                     paid |= cost_masks[j - 1]
     return selected, trace, removed
+
+
+def _bit_sliced_greedy(
+    mat: SurvivalMatrix,
+    cost_masks: Sequence[int] | None = None,
+    *,
+    dynamic: bool = False,
+    start: Iterable[int] = (),
+    rng: Random | None = None,
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """:func:`_greedy` with every step after the first read off bit-sliced
+    counters: ``gains[b]`` is the path mask of the paths whose gain (open
+    fibers survived) has bit b set, and ``costs[b]`` likewise for the cost.
+
+    A fiber that a step covers takes 1 off the gain of each path surviving
+    it, and one it pays (dynamic mode) 1 off the cost of each path using it;
+    a fiber that a sweep unpays gives that 1 back.  Each takes one fiber's
+    used-row, decoded from ``mat.used_columns``.  A pick walks the planes
+    from the top: at unit cost for the paths of the greatest gain; at fiber
+    cost through the cost classes, least first, taking the greatest gain of
+    each, and stopping at a class whose cost per greatest gain cannot beat
+    the best so far.  That is the scan's least (cost/gain, cost, id).
+    """
+    unit = cost_masks is None
+    cost_masks, selected, covered, paid, trace = _greedy_start(mat, cost_masks, start)
+    full = mat.all_fibers_mask
+    removed: list[int] = []
+    if covered == full:
+        return selected, trace, removed
+    survive = mat.survive_masks
+    everyone = mat.all_paths_mask
+    columns = mat.used_columns
+    used_rows: dict[int, int] = {}
+
+    def used_row(i: int) -> int:
+        row = used_rows.get(i)
+        if row is None:
+            row = used_rows[i] = _bit_row(columns, i)
+        return row
+
+    gains: list[int] = []
+    for i in _bit_indices(full & ~covered):
+        _count_up(gains, everyone ^ used_row(i))
+    if not unit:
+        bits = max(mat.path_costs, default=0).bit_length()
+        cost_columns = _byte_columns(mat.path_costs, (bits + 7) // 8)
+        costs = [_bit_row(cost_columns, b) for b in range(bits)]
+        if dynamic:
+            for i in _bit_indices(paid):
+                _count_down(costs, used_row(i))
+    while True:
+        # The paths of the greatest gain.
+        top, top_gain = everyone, 0
+        for b in range(len(gains) - 1, -1, -1):
+            hit = top & gains[b]
+            if hit:
+                top = hit
+                top_gain |= 1 << b
+        if not top_gain:
+            _no_candidate()
+        if unit:
+            best, best_cost, best_gain = top & -top, 1, top_gain
+        else:
+            best, best_cost, best_gain = 0, 1, 0
+            pool = 0
+            for plane in gains:
+                pool |= plane
+            while pool:
+                # The least cost in the pool, and its class.
+                group, cost = pool, 0
+                for b in range(len(costs) - 1, -1, -1):
+                    hit = group & ~costs[b]
+                    if hit:
+                        group = hit
+                    else:
+                        cost |= 1 << b
+                # cost/top_gain >= best_cost/best_gain, by cross-multiplication.
+                if cost * best_gain >= best_cost * top_gain:
+                    break
+                pool ^= group
+                if not cost:
+                    # Every ratio is 0: the lowest id wins.
+                    best, best_cost = group & -group, 0
+                    best_gain = sum(1 << b for b, plane in enumerate(gains) if plane & best)
+                    break
+                gain = 0
+                for b in range(len(gains) - 1, -1, -1):
+                    hit = group & gains[b]
+                    if hit:
+                        group = hit
+                        gain |= 1 << b
+                if cost * best_gain < best_cost * gain:
+                    best, best_cost, best_gain = group & -group, cost, gain
+        j = best.bit_length()
+        was_covered, was_paid = covered, paid
+        selected.append(j)
+        covered |= survive[j - 1]
+        paid |= cost_masks[j - 1]
+        trace.append([j, best_cost, best_gain])
+        if rng is not None and len(trace) > 2 and len(selected) > 1:
+            victim = _substitution_sweep(mat, selected, covered, j, rng)
+            if victim:
+                removed.append(victim)
+                paid = 0
+                for k in selected:
+                    paid |= cost_masks[k - 1]
+        if covered == full:
+            return selected, trace, removed
+        for i in _bit_indices(covered & ~was_covered):
+            _count_down(gains, everyone ^ used_row(i))
+        if dynamic:
+            for i in _bit_indices(paid & ~was_paid):
+                _count_down(costs, used_row(i))
+            for i in _bit_indices(was_paid & ~paid):
+                _count_up(costs, used_row(i))
+
+
+def _count_up(planes: list[int], paths: int) -> None:
+    """Add 1 to the bit-sliced counts of the paths in mask ``paths``."""
+    for b, plane in enumerate(planes):
+        planes[b] = plane ^ paths
+        paths &= plane
+        if not paths:
+            return
+    planes.append(paths)
+
+
+def _count_down(planes: list[int], paths: int) -> None:
+    """Take 1 off the bit-sliced counts of the paths in mask ``paths``, none
+    of which is 0."""
+    for b, plane in enumerate(planes):
+        planes[b] = plane ^ paths
+        paths &= ~plane
+        if not paths:
+            return
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """0-based positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _no_candidate() -> None:
+    raise SurvPathError(
+        "greedy found no path surviving an uncovered fiber; the "
+        "feasibility precheck should have caught this instance"
+    )
 
 
 def _substitution_sweep(
