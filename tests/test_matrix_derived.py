@@ -7,7 +7,8 @@ check that every way of building a matrix from the same fiber sets agrees,
 down to the enumerated paths' own fiber sets.
 
 The transpose is built on first read only: the greedy family and the
-feasibility check read the path masks alone, and pickling, copying or
+feasibility check read the path masks alone (and, on a matrix with more
+paths than fibers, the greedy its byte columns), and pickling, copying or
 replacing a matrix keeps its views equal whether or not they were built.
 """
 
@@ -19,6 +20,7 @@ import gc
 import pickle
 import subprocess
 import sys
+import weakref
 from functools import reduce
 from operator import and_
 from random import Random
@@ -107,6 +109,22 @@ def test_derived_fields_match_the_per_cell_definition(m, n):
         assert mat.survive_mask(j) == full & ~mask
         assert mat.path_cost(j) == mat.path_costs[j - 1]
     assert mat.infeasible_fibers() == tuple(i + 1 for i in range(m) if rows[i] == 0)
+
+
+def reference_columns(num_fibers: int, used_masks) -> tuple[bytes, ...]:
+    """Byte b of every used mask, last path first."""
+    return tuple(
+        bytes(mask >> 8 * b & 255 for mask in reversed(used_masks))
+        for b in range((num_fibers + 7) // 8)
+    )
+
+
+@pytest.mark.parametrize("m", SIZES)
+@pytest.mark.parametrize("n", (0, 1, 9, 300))
+def test_used_columns_hold_each_byte_of_every_mask(m, n):
+    masks = seeded_masks(Random(7000 * m + n), m, n)
+    mat = SurvivalMatrix(m, n, tuple(masks))
+    assert mat.used_columns == reference_columns(m, masks)
 
 
 @pytest.mark.parametrize("m", (1, 8, 9, 64, 65))
@@ -268,7 +286,9 @@ def test_the_views_keep_the_matrix_attributes_inline():
     mat = feasible_k_restricted_matrix()
     expected = reference_rows(mat.num_fibers, mat.used_masks)
     assert (mat.survive_rows, mat.fiber_load) == expected
+    assert mat.used_columns == reference_columns(mat.num_fibers, mat.used_masks)
     msp_exact(mat)
+    mfsp_nacg(mat)
     solve_mfsp_relaxation(mat)
     assert not [ref for ref in gc.get_referents(mat) if isinstance(ref, dict)]
     assert fiber_major_built(mat)
@@ -288,10 +308,32 @@ def test_views_read_after_many_matrices_stay_inline():
         "made = [SurvivalMatrix(2, 1, (1,)) for _ in range(100)]\n"
         "mat = SurvivalMatrix(2, 1, (1,))\n"
         "assert mat.survive_rows == (0, 1) and mat.fiber_load == (1, 0)\n"
+        "assert mat.used_columns == (bytes([1]),)\n"
         "print(sum(isinstance(ref, dict) for ref in gc.get_referents(mat)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_the_views_hold_no_reference_to_their_matrix():
+    # A matrix must go with its last reference, not wait for the cycle
+    # collector: the views are tuples of ints and bytes only.
+    mat = feasible_k_restricted_matrix()
+    assert mat.num_paths > mat.num_fibers
+    msp_greedy(mat)
+    mfsp_rsg(mat, seed=5)
+    msp_exact(mat)
+    mat.max_fiber_load()
+    assert fiber_major_built(mat) and "used_columns" in vars(mat)
+    gone = weakref.ref(mat)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del mat
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize(
