@@ -248,7 +248,7 @@ class LayeredNetwork:
         return frozenset(out)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class LogicalPath:
     """A source-sink path in the logical layer.
 
@@ -282,6 +282,15 @@ class LogicalPath:
                 f"path {self.path_id}: used_mask does not encode its "
                 f"{len(self.fibers_used)} fibers"
             )
+
+    def __repr__(self) -> str:
+        # Fiber ids sorted: a frozenset prints in hash-table order, which a
+        # pickle or deepcopy can change when ids share a slot (2 and 10 in 8).
+        fibers = ", ".join(map(str, sorted(self.fibers_used)))
+        return (
+            f"LogicalPath(path_id={self.path_id!r}, links={self.links!r}, "
+            f"fibers_used=frozenset({'{' + fibers + '}' if fibers else ''}))"
+        )
 
     @property
     def cost(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import io
 import pickle
 
 import pytest
@@ -23,6 +24,7 @@ from survpath import (
     PhysicalTopology,
     enumerate_paths_k_restricted,
     enumerate_paths_unrestricted,
+    read_spn,
 )
 
 FIELDS = ("path_id", "links", "fibers_used", "used_mask")
@@ -149,3 +151,26 @@ def test_copy_of_a_path_in_a_catalog_before_any_read():
     assert clone == catalog
     assert copy.deepcopy(catalog) == catalog
     assert [p.fibers_used for p in clone.paths] == [{1, 2, 4}, {3, 4}]
+
+
+def test_reprs_list_fiber_ids_sorted_after_pickle_and_deepcopy():
+    # Fibers 2 and 10 share a slot of an 8-slot hash table.  A frozenset
+    # prints in table order, and pickle and deepcopy rebuild it by inserting
+    # its members in that order, which can move them: this path's fibers
+    # printed as {11, 2, 10, 6} and, after either round trip, {10, 2, 11, 6}.
+    text = "spn 1\nfibers 12\npath 1: f2 f6 f10 f11\npath 2: f1 f3\npath 3:\n"
+    catalog = read_spn(io.StringIO(text)).catalog
+    want = [
+        "LogicalPath(path_id=1, links=(1,), fibers_used=frozenset({2, 6, 10, 11}))",
+        "LogicalPath(path_id=2, links=(2,), fibers_used=frozenset({1, 3}))",
+        "LogicalPath(path_id=3, links=(3,), fibers_used=frozenset())",
+    ]
+    assert [repr(p) for p in catalog.paths] == want
+    clones = [copy.deepcopy(catalog)]
+    clones += [
+        pickle.loads(pickle.dumps(catalog, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in clones:
+        assert [repr(p) for p in clone.paths] == want
+        assert repr(clone) == repr(catalog)
