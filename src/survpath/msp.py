@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     Limits,
@@ -265,22 +265,22 @@ def _bit_sliced_greedy(
     columns = mat.used_columns
     used_rows: dict[int, int] = {}
 
-    def used_row(i: int) -> int:
-        row = used_rows.get(i)
+    def used_row(fiber: int) -> int:
+        row = used_rows.get(fiber)
         if row is None:
-            row = used_rows[i] = _bit_row(columns, i)
+            row = used_rows[fiber] = _bit_row(columns, fiber - 1)
         return row
 
     gains: list[int] = []
-    for i in _bit_indices(full & ~covered):
-        _count_up(gains, everyone ^ used_row(i))
+    for fiber in _bit_ids(full & ~covered):
+        _count_up(gains, everyone ^ used_row(fiber))
     if not unit:
         bits = max(mat.path_costs, default=0).bit_length()
         cost_columns = _byte_columns(mat.path_costs, (bits + 7) // 8)
         costs = [_bit_row(cost_columns, b) for b in range(bits)]
         if dynamic:
-            for i in _bit_indices(paid):
-                _count_down(costs, used_row(i))
+            for fiber in _bit_ids(paid):
+                _count_down(costs, used_row(fiber))
     while True:
         # The paths of the greatest gain.
         top, top_gain = everyone, 0
@@ -339,13 +339,13 @@ def _bit_sliced_greedy(
                     paid |= cost_masks[k - 1]
         if covered == full:
             return selected, trace, removed
-        for i in _bit_indices(covered & ~was_covered):
-            _count_down(gains, everyone ^ used_row(i))
+        for fiber in _bit_ids(covered & ~was_covered):
+            _count_down(gains, everyone ^ used_row(fiber))
         if dynamic:
-            for i in _bit_indices(paid & ~was_paid):
-                _count_down(costs, used_row(i))
-            for i in _bit_indices(was_paid & ~paid):
-                _count_up(costs, used_row(i))
+            for fiber in _bit_ids(paid & ~was_paid):
+                _count_down(costs, used_row(fiber))
+            for fiber in _bit_ids(was_paid & ~paid):
+                _count_up(costs, used_row(fiber))
 
 
 def _count_up(planes: list[int], paths: int) -> None:
@@ -366,14 +366,6 @@ def _count_down(planes: list[int], paths: int) -> None:
         paths &= ~plane
         if not paths:
             return
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    """0-based positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _no_candidate() -> None:
