@@ -330,8 +330,9 @@ def _byte_columns(values: Sequence[int], width: int) -> tuple[bytes, ...]:
     return tuple(packed[b::width] for b in range(width))
 
 
-# _BIT_DIGITS[t] maps a byte to the ASCII digit of its bit t.
-_BIT_DIGITS = tuple(bytes(48 + (v >> t & 1) for v in range(256)) for t in range(8))
+# _BIT_DIGITS[t] maps a byte to the ASCII digit of its bit t: runs of 2**t
+# zeros and 2**t ones, from byte 0 up.
+_BIT_DIGITS = tuple((b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8))
 
 
 def _bit_row(columns: Sequence[bytes], i: int) -> int:
