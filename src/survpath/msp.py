@@ -312,10 +312,8 @@ def _bit_sliced_greedy(
                     break
                 pool ^= group
                 if not cost:
-                    # Every ratio is 0: the lowest id wins.
-                    best, best_cost = group & -group, 0
-                    best_gain = sum(1 << b for b, plane in enumerate(gains) if plane & best)
-                    break
+                    # Every ratio is 0: the lowest id wins, whatever its gain.
+                    group &= -group
                 gain = 0
                 for b in range(len(gains) - 1, -1, -1):
                     hit = group & gains[b]
