@@ -286,11 +286,9 @@ class LogicalPath:
     def __repr__(self) -> str:
         # Fiber ids sorted: a frozenset prints in hash-table order, which a
         # pickle or deepcopy can change when ids share a slot (2 and 10 in 8).
-        fibers = ", ".join(map(str, sorted(self.fibers_used)))
-        return (
-            f"LogicalPath(path_id={self.path_id!r}, links={self.links!r}, "
-            f"fibers_used=frozenset({'{' + fibers + '}' if fibers else ''}))"
-        )
+        ids = ", ".join(map(str, sorted(self.fibers_used)))
+        fibers = f"frozenset({{{ids}}})" if ids else "frozenset()"
+        return f"LogicalPath(path_id={self.path_id!r}, links={self.links!r}, fibers_used={fibers})"
 
     @property
     def cost(self) -> int:
