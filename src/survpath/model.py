@@ -248,6 +248,14 @@ class LayeredNetwork:
         return frozenset(out)
 
 
+def _sorted_repr(ids: frozenset[int]) -> str:
+    """``repr`` of a frozenset of ids, listed sorted.  A frozenset prints in
+    hash-table order, which a pickle or deepcopy can change when ids share a
+    slot (2 and 10 in 8)."""
+    listed = ", ".join(map(str, sorted(ids)))
+    return f"frozenset({{{listed}}})" if listed else "frozenset()"
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class LogicalPath:
     """A source-sink path in the logical layer.
@@ -284,11 +292,10 @@ class LogicalPath:
             )
 
     def __repr__(self) -> str:
-        # Fiber ids sorted: a frozenset prints in hash-table order, which a
-        # pickle or deepcopy can change when ids share a slot (2 and 10 in 8).
-        ids = ", ".join(map(str, sorted(self.fibers_used)))
-        fibers = f"frozenset({{{ids}}})" if ids else "frozenset()"
-        return f"LogicalPath(path_id={self.path_id!r}, links={self.links!r}, fibers_used={fibers})"
+        return (
+            f"LogicalPath(path_id={self.path_id!r}, links={self.links!r}, "
+            f"fibers_used={_sorted_repr(self.fibers_used)})"
+        )
 
     @property
     def cost(self) -> int:
@@ -650,7 +657,7 @@ class Limits:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PathSet:
     """A solver's selected paths with their survivability verdict and fiber union."""
 
@@ -670,6 +677,12 @@ class PathSet:
     @property
     def num_fibers_used(self) -> int:
         return len(self.fibers_used)
+
+    def __repr__(self) -> str:
+        return (
+            f"PathSet(selected={self.selected!r}, survivable={self.survivable!r}, "
+            f"fibers_used={_sorted_repr(self.fibers_used)})"
+        )
 
 
 @dataclass(frozen=True)

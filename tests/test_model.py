@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import pickle
 from itertools import combinations
 from random import Random
@@ -354,6 +355,26 @@ def test_pathset_from_ids(pairwise3):
     assert not partial.survivable
     assert partial.fibers_used == frozenset({1, 2})
 
+
+
+def test_pathset_and_report_reprs_list_fiber_ids_sorted_after_copies():
+    # Fibers 2 and 10 share a slot of an 8-slot hash table, so this set
+    # printed as frozenset({11, 2, 10, 6}) and, after a deepcopy or a pickle
+    # round trip, frozenset({10, 2, 11, 6}).
+    mat = SurvivalMatrix.from_fiber_sets(12, [[2, 6, 10, 11], [1, 3]])
+    ps = PathSet.from_ids(mat, [1])
+    want = "PathSet(selected=(1,), survivable=False, fibers_used=frozenset({2, 6, 10, 11}))"
+    report = SolveReport("msp_greedy", "msp", ps, 1, 1, None, 0.0)
+    clones = [copy.deepcopy(ps)] + [
+        pickle.loads(pickle.dumps(ps, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for got in [ps, *clones]:
+        assert repr(got) == want
+    for got in [report, copy.deepcopy(report), pickle.loads(pickle.dumps(report))]:
+        assert f"solution={want}," in repr(got)
+    empty = PathSet.from_ids(mat, [])
+    assert repr(empty) == "PathSet(selected=(), survivable=False, fibers_used=frozenset())"
 
 def test_solve_report_serialization(pairwise3):
     ps = PathSet.from_ids(pairwise3, [1, 2, 3])
